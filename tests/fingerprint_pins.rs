@@ -206,3 +206,82 @@ fn compiled_family_fingerprints_match_pins() {
         );
     }
 }
+
+/// Engine-report fingerprints of the matching-kernel paths the pins
+/// above leave uncovered: iSLIP and the prior-art pipelined arbiter in
+/// the VOQ switch, FLPPR with egresses degraded by the fault plane (the
+/// sub-scheduler un-matching and masked-issue path), the compiled
+/// simulator over a fat tree, and the multistage fabric with egress
+/// buffers (placement option 1, matched without a credit check).
+/// Captured before the grant/accept loops were folded into one kernel.
+const KERNEL_PINS: &[(&str, u64)] = &[
+    ("voq+islip", 0x5038_356a_92d8_f3d5),
+    ("voq+islip-dual", 0x43a0_adee_7ad8_5bf1),
+    ("voq+pipelined", 0x8462_0633_2745_64d4),
+    ("voq+flppr-degraded", 0xdf01_91be_4758_e7bd),
+    ("compiled-fat-tree", 0x72b8_2ce8_babc_4efa),
+    ("multistage-option1", 0xa4c5_2017_ebdb_1e7c),
+];
+
+fn capture_kernel_paths() -> Vec<(&'static str, u64)> {
+    use osmosis::fabric::multistage::Placement;
+    use osmosis::fabric::spec::TopologySpec;
+    use osmosis::fabric::CompiledFabric;
+    use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
+    use osmosis::sched::{Islip, PipelinedArbiter};
+    use osmosis::switch::{run_switch_faulted, VoqSwitch};
+
+    let s = 1234u64;
+    let mut out: Vec<(&'static str, EngineReport)> = Vec::new();
+    out.push((
+        "voq+islip",
+        run_uniform(|| Box::new(Islip::log2n(16, 1)), 0.8, &cfg().with_seed(s)),
+    ));
+    out.push((
+        "voq+islip-dual",
+        run_uniform(|| Box::new(Islip::log2n(16, 2)), 0.8, &cfg().with_seed(s)),
+    ));
+    out.push((
+        "voq+pipelined",
+        run_uniform(
+            || Box::new(PipelinedArbiter::log2n(16, 1)),
+            0.7,
+            &cfg().with_seed(s),
+        ),
+    ));
+    out.push(("voq+flppr-degraded", {
+        let plan = FaultPlan::new()
+            .one_shot(FaultKind::SoaStuckOff { output: 3 }, 500, Some(700))
+            .one_shot(FaultKind::ReceiverDeath { output: 5 }, 900, Some(1_200))
+            .periodic(FaultKind::ReceiverDeath { output: 11 }, 400, 600, 150);
+        let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(16, 2)));
+        let mut inj = FaultInjector::new(plan);
+        run_switch_faulted(&mut sw, &mut uniform(16, 0.8, s), &cfg(), &mut inj)
+    }));
+    out.push(("compiled-fat-tree", {
+        let mut sim = CompiledFabric::new(TopologySpec::fat_tree(8, 2));
+        let hosts = sim.expanded().hosts.len();
+        sim.run(&mut uniform(hosts, 0.5, s), &cfg())
+    }));
+    out.push(("multistage-option1", {
+        let mut fc = FabricConfig::small(8, 2);
+        fc.placement = Placement::InputAndOutput;
+        let mut fab = FatTreeFabric::new(fc);
+        let hosts = fab.topology().hosts();
+        fab.run(&mut uniform(hosts, 0.5, s), &cfg())
+    }));
+    out.into_iter().map(|(n, r)| (n, r.fingerprint())).collect()
+}
+
+#[test]
+fn kernel_path_fingerprints_match_pins() {
+    let got = capture_kernel_paths();
+    assert_eq!(got.len(), KERNEL_PINS.len());
+    for ((name, fp), (pin_name, pin)) in got.iter().zip(KERNEL_PINS) {
+        assert_eq!(name, pin_name);
+        assert_eq!(
+            *fp, *pin,
+            "{name}: fingerprint {fp:#018x} drifted from pinned {pin:#018x}"
+        );
+    }
+}
