@@ -26,7 +26,7 @@
 use crate::expand::{ExpandedFabric, Peer};
 use crate::ids::{EntityId, HostId, SwitchId};
 use crate::spec::{TopologyError, TopologySpec};
-use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
+use osmosis_sched::{BitSet, MatchArbiters, Matcher, PointerRule};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::driven::{run_switch, CellSwitch};
 use osmosis_switch::Cell;
@@ -62,8 +62,7 @@ struct CompiledNode {
     /// Send credits per output (usize::MAX for host sinks, 0 for
     /// unconnected ports — never granted).
     credits: Vec<usize>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
+    arbs: MatchArbiters,
     downstream: Vec<Option<Hop>>,
     upstream: Vec<Option<Credit>>,
 }
@@ -81,10 +80,12 @@ pub struct CompiledFabric {
     stamper: SequenceStamper,
     checker: SequenceChecker,
     next_id: u64,
-    requesters: BitSet,
-    grants_to_input: Vec<BitSet>,
-    in_matched: Vec<bool>,
-    out_matched: Vec<bool>,
+    /// Matching scratch shared by every switch, which are matched in
+    /// turn: the matching in progress, the per-output request masks and
+    /// the accepted pairs.
+    matcher: Matcher,
+    requests: Vec<BitSet>,
+    matched: Vec<(usize, usize, usize)>,
 }
 
 impl CompiledFabric {
@@ -152,8 +153,7 @@ impl CompiledFabric {
                     input_occupancy: vec![0; radix],
                     total: 0,
                     credits,
-                    grant_arb: (0..radix).map(|_| RoundRobinArbiter::new(radix)).collect(),
-                    accept_arb: (0..radix).map(|_| RoundRobinArbiter::new(radix)).collect(),
+                    arbs: MatchArbiters::new(radix, 1, PointerRule::EveryAccept),
                     downstream,
                     upstream,
                 }
@@ -171,10 +171,9 @@ impl CompiledFabric {
             stamper: SequenceStamper::new(),
             checker: SequenceChecker::new(),
             next_id: 0,
-            requesters: BitSet::new(radix),
-            grants_to_input: (0..radix).map(|_| BitSet::new(radix)).collect(),
-            in_matched: vec![false; radix],
-            out_matched: vec![false; radix],
+            matcher: Matcher::new(radix, 1),
+            requests: (0..radix).map(|_| BitSet::new(radix)).collect(),
+            matched: Vec::with_capacity(radix),
             fab,
         }
     }
@@ -190,64 +189,25 @@ impl CompiledFabric {
         run_switch(self, traffic, cfg)
     }
 
-    /// Match one switch for one slot: iterative round-robin grant/accept
-    /// over the sparsely occupied VOQs, mirroring the dense simulators'
-    /// order (outputs ascending per iteration).
-    fn match_switch(&mut self, sw: usize, slot: u64) -> Vec<(u32, u32)> {
-        let radix = self.spec.radix;
-        let iterations = self.spec.iterations;
+    /// Match one switch for one slot into `self.matched`: iterative
+    /// round-robin grant/accept over the sparsely occupied VOQs, outputs
+    /// without a send credit masked out.
+    fn match_switch(&mut self, sw: usize) {
         let node = &mut self.nodes[sw];
-        let mut matched: Vec<(u32, u32)> = Vec::new();
-        // Requesting inputs per output, from the occupied VOQs only.
-        let mut out_reqs: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for mask in &mut self.requests {
+            mask.clear_all();
+        }
         for &(i, o) in node.voq.keys() {
-            out_reqs.entry(o).or_default().push(i);
-        }
-        self.in_matched[..radix].fill(false);
-        self.out_matched[..radix].fill(false);
-        for _ in 0..iterations {
-            for g in self.grants_to_input.iter_mut() {
-                g.clear_all();
-            }
-            let mut any = false;
-            for (&o, ins) in out_reqs.iter() {
-                if self.out_matched[o as usize] || node.credits[o as usize] == 0 {
-                    continue;
-                }
-                self.requesters.clear_all();
-                let mut have = false;
-                for &i in ins {
-                    if !self.in_matched[i as usize] {
-                        self.requesters.set(i as usize);
-                        have = true;
-                    }
-                }
-                if !have {
-                    continue;
-                }
-                if let Some(i) = node.grant_arb[o as usize].arbitrate(&self.requesters) {
-                    self.grants_to_input[i].set(o as usize);
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-            for i in 0..radix {
-                if self.in_matched[i] || self.grants_to_input[i].is_empty() {
-                    continue;
-                }
-                if let Some(o) = node.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                    self.in_matched[i] = true;
-                    self.out_matched[o] = true;
-                    node.grant_arb[o].advance_past(i);
-                    node.accept_arb[i].advance_past(o);
-                    matched.push((i as u32, o as u32));
-                }
+            if node.credits[o as usize] > 0 {
+                self.requests[o as usize].set(i as usize);
             }
         }
-        let _ = slot;
-        matched
+        self.matcher.rematch(
+            &mut node.arbs,
+            &self.requests,
+            self.spec.iterations,
+            &mut self.matched,
+        );
     }
 }
 
@@ -337,11 +297,13 @@ impl CellSwitch for CompiledFabric {
             if self.nodes[sw].total == 0 {
                 continue;
             }
-            let matched = self.match_switch(sw, slot);
-            for (i, o) in matched {
+            self.match_switch(sw);
+            for k in 0..self.matched.len() {
+                let (i, o, _) = self.matched[k];
                 let (cell, down, credit_to) = {
                     let node = &mut self.nodes[sw];
-                    let Some(queue) = node.voq.get_mut(&(i, o)) else {
+                    let key = (i as u32, o as u32);
+                    let Some(queue) = node.voq.get_mut(&key) else {
                         // lint:allow(panic-free): the matching only pairs
                         // ports with an occupied VOQ
                         panic!("matched pair without a queue");
@@ -352,17 +314,17 @@ impl CellSwitch for CompiledFabric {
                         panic!("matched pair with an empty queue");
                     };
                     if queue.is_empty() {
-                        node.voq.remove(&(i, o));
+                        node.voq.remove(&key);
                     }
                     cell.grant_slot = slot;
-                    node.input_occupancy[i as usize] -= 1;
+                    node.input_occupancy[i] -= 1;
                     node.total -= 1;
                     // Host sinks drain a cell per slot and are not
                     // credit-controlled; only switch links consume.
-                    if let Some(Hop::Switch(..)) = node.downstream[o as usize] {
-                        node.credits[o as usize] -= 1;
+                    if let Some(Hop::Switch(..)) = node.downstream[o] {
+                        node.credits[o] -= 1;
                     }
-                    (cell, node.downstream[o as usize], node.upstream[i as usize])
+                    (cell, node.downstream[o], node.upstream[i])
                 };
                 let Some(down) = down else {
                     // lint:allow(panic-free): routing never selects an

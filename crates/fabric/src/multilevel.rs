@@ -24,7 +24,7 @@
 //! the simulated topology rides along as `extra("stages")`.
 
 use crate::spec::TopologyError;
-use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
+use osmosis_sched::{BitSet, MatchArbiters, Matcher, PointerRule};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::driven::{run_switch, CellSwitch};
 use osmosis_switch::Cell;
@@ -182,8 +182,7 @@ struct Node {
     voq: Vec<VecDeque<Cell>>,
     input_occupancy: Vec<usize>,
     credits: Vec<usize>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
+    arbs: MatchArbiters,
     /// Where each output port's cable leads.
     down: Vec<Option<Hop>>,
     /// Where each input port's credits return to.
@@ -210,12 +209,12 @@ pub struct MultiLevelFabric {
     stamper: SequenceStamper,
     checker: SequenceChecker,
     next_id: u64,
-    requesters: BitSet,
-    grants_to_input: Vec<BitSet>,
-    /// Per-switch matching scratch, cleared for every (level, switch).
-    in_matched: Vec<bool>,
-    out_matched: Vec<bool>,
-    matched: Vec<(usize, usize)>,
+    /// Matching scratch shared by every switch, which are matched in
+    /// turn: the matching in progress, the per-output request masks and
+    /// the accepted pairs.
+    matcher: Matcher,
+    requests: Vec<BitSet>,
+    matched: Vec<(usize, usize, usize)>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -280,8 +279,7 @@ impl MultiLevelFabric {
                             voq: (0..ports * ports).map(|_| VecDeque::new()).collect(),
                             input_occupancy: vec![0; ports],
                             credits: vec![cfg.buffer_cells; ports],
-                            grant_arb: (0..ports).map(|_| RoundRobinArbiter::new(ports)).collect(),
-                            accept_arb: (0..ports).map(|_| RoundRobinArbiter::new(ports)).collect(),
+                            arbs: MatchArbiters::new(ports, 1, PointerRule::EveryAccept),
                             down,
                             up,
                         }
@@ -299,11 +297,9 @@ impl MultiLevelFabric {
             stamper: SequenceStamper::new(),
             checker: SequenceChecker::new(),
             next_id: 0,
-            requesters: BitSet::new(ports),
-            grants_to_input: (0..ports).map(|_| BitSet::new(ports)).collect(),
-            in_matched: vec![false; ports],
-            out_matched: vec![false; ports],
-            matched: Vec::new(),
+            matcher: Matcher::new(ports, 1),
+            requests: (0..ports).map(|_| BitSet::new(ports)).collect(),
+            matched: Vec::with_capacity(ports),
         }
     }
 
@@ -483,56 +479,28 @@ impl CellSwitch for MultiLevelFabric {
         // Matchings, level by level.
         for level in 0..t.levels {
             for sw in 0..t.switches_per_level() {
-                self.matched.clear();
                 {
                     let node = &mut self.nodes[level as usize][sw];
-                    self.in_matched.fill(false);
-                    self.out_matched.fill(false);
-                    for _ in 0..self.cfg.iterations {
-                        for g in self.grants_to_input.iter_mut() {
-                            g.clear_all();
-                        }
-                        let mut any = false;
-                        for o in 0..ports {
-                            if self.out_matched[o] || node.credits[o] == 0 {
-                                continue;
-                            }
-                            self.requesters.clear_all();
-                            let mut have = false;
-                            for i in 0..ports {
-                                if !self.in_matched[i] && !node.voq[i * ports + o].is_empty() {
-                                    self.requesters.set(i);
-                                    have = true;
-                                }
-                            }
-                            if !have {
-                                continue;
-                            }
-                            if let Some(i) = node.grant_arb[o].arbitrate(&self.requesters) {
-                                self.grants_to_input[i].set(o);
-                                any = true;
-                            }
-                        }
-                        if !any {
-                            break;
+                    for (o, mask) in self.requests.iter_mut().enumerate() {
+                        mask.clear_all();
+                        if node.credits[o] == 0 {
+                            continue;
                         }
                         for i in 0..ports {
-                            if self.in_matched[i] || self.grants_to_input[i].is_empty() {
-                                continue;
-                            }
-                            if let Some(o) = node.accept_arb[i].arbitrate(&self.grants_to_input[i])
-                            {
-                                self.in_matched[i] = true;
-                                self.out_matched[o] = true;
-                                node.grant_arb[o].advance_past(i);
-                                node.accept_arb[i].advance_past(o);
-                                self.matched.push((i, o));
+                            if !node.voq[i * ports + o].is_empty() {
+                                mask.set(i);
                             }
                         }
                     }
+                    self.matcher.rematch(
+                        &mut node.arbs,
+                        &self.requests,
+                        self.cfg.iterations,
+                        &mut self.matched,
+                    );
                 }
                 for k in 0..self.matched.len() {
-                    let (i, o) = self.matched[k];
+                    let (i, o, _) = self.matched[k];
                     let cell = {
                         let node = &mut self.nodes[level as usize][sw];
                         let mut cell = node.voq[i * ports + o]

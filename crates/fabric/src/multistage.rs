@@ -26,7 +26,7 @@ use crate::ids::{EntityId, HostId, SwitchId};
 use crate::spec::{TopologyError, TopologySpec};
 use crate::topology::TwoLevelFatTree;
 use osmosis_fdl::FdlBufferPlane;
-use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
+use osmosis_sched::{BitSet, MatchArbiters, Matcher, PointerRule};
 use osmosis_sim::audit::{CreditLedger, DropReason};
 use osmosis_sim::buffer::{BufferLossReason, BufferPlane, BufferStats, ElectronicVoq};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
@@ -156,8 +156,7 @@ struct SwitchNode {
     egress: Vec<VecDeque<Cell>>,
     /// Send credits per output port (usize::MAX for host sinks).
     credits: Vec<usize>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
+    arbs: MatchArbiters,
     downstream: Vec<Downstream>,
     upstream: Vec<Upstream>,
 }
@@ -188,8 +187,7 @@ impl SwitchNode {
             buffers,
             egress: (0..ports).map(|_| VecDeque::new()).collect(),
             credits,
-            grant_arb: (0..ports).map(|_| RoundRobinArbiter::new(ports)).collect(),
-            accept_arb: (0..ports).map(|_| RoundRobinArbiter::new(ports)).collect(),
+            arbs: MatchArbiters::new(ports, 1, PointerRule::EveryAccept),
             downstream,
             upstream,
         }
@@ -241,13 +239,12 @@ pub struct FatTreeFabric {
     checker: SequenceChecker,
     next_id: u64,
     node_ids: Vec<NodeId>,
-    requesters: BitSet,
-    grants_to_input: Vec<BitSet>,
-    /// Per-node matching scratch, sized to the widest node and cleared
-    /// for every (node, slot) pass.
-    in_matched: Vec<bool>,
-    out_matched: Vec<bool>,
-    matched_pairs: Vec<(usize, usize)>,
+    /// Matching scratch shared by every node, which are matched in turn:
+    /// the matching in progress, the per-output request masks and the
+    /// accepted pairs.
+    matcher: Matcher,
+    requests: Vec<BitSet>,
+    matched_pairs: Vec<(usize, usize, usize)>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -366,10 +363,8 @@ impl FatTreeFabric {
             checker: SequenceChecker::new(),
             next_id: 0,
             node_ids,
-            requesters: BitSet::new(k),
-            grants_to_input: (0..k).map(|_| BitSet::new(k)).collect(),
-            in_matched: vec![false; k],
-            out_matched: vec![false; k],
+            matcher: Matcher::new(k, 1),
+            requests: (0..k).map(|_| BitSet::new(k)).collect(),
             matched_pairs: Vec::with_capacity(k),
         })
     }
@@ -817,78 +812,45 @@ impl CellSwitch for FatTreeFabric {
             }
 
             // Matching (iterative RR grant/accept) on the node.
-            self.matched_pairs.clear();
             {
                 let needs_credit_at_match = self.cfg.placement != Placement::InputAndOutput;
                 let node = match id {
                     NodeId::Leaf(l) => &mut self.leaves[l],
                     NodeId::Spine(s) => &mut self.spines[s],
                 };
-                self.in_matched.fill(false);
-                self.out_matched.fill(false);
-                for _ in 0..self.cfg.iterations {
-                    for g in self.grants_to_input.iter_mut() {
-                        g.clear_all();
+                for (o, mask) in self.requests.iter_mut().enumerate() {
+                    mask.clear_all();
+                    // Leaf uplinks toward a dead spine are masked out of
+                    // arbitration; queued cells wait for repair, new
+                    // flows were already re-hashed at routing.
+                    if faults_on
+                        && matches!(id, NodeId::Leaf(_))
+                        && o >= half
+                        && !self.spine_ok[o - half]
+                    {
+                        continue;
                     }
-                    let mut any = false;
-                    for o in 0..ports {
-                        if self.out_matched[o] {
-                            continue;
-                        }
-                        // Leaf uplinks toward a dead spine are masked out
-                        // of arbitration; queued cells wait for repair,
-                        // new flows were already re-hashed at routing.
-                        if faults_on
-                            && matches!(id, NodeId::Leaf(_))
-                            && o >= half
-                            && !self.spine_ok[o - half]
-                        {
-                            continue;
-                        }
-                        if needs_credit_at_match && node.credits[o] == 0 {
-                            continue;
-                        }
-                        self.requesters.clear_all();
-                        let mut have = false;
-                        for i in 0..ports {
-                            if self.in_matched[i] {
-                                continue;
-                            }
-                            if node.buffers.ready(t, i, o) {
-                                self.requesters.set(i);
-                                have = true;
-                            }
-                        }
-                        if !have {
-                            continue;
-                        }
-                        if let Some(i) = node.grant_arb[o].arbitrate(&self.requesters) {
-                            self.grants_to_input[i].set(o);
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        break;
+                    if needs_credit_at_match && node.credits[o] == 0 {
+                        continue;
                     }
                     for i in 0..ports {
-                        if self.in_matched[i] || self.grants_to_input[i].is_empty() {
-                            continue;
-                        }
-                        if let Some(o) = node.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                            self.in_matched[i] = true;
-                            self.out_matched[o] = true;
-                            node.grant_arb[o].advance_past(i);
-                            node.accept_arb[i].advance_past(o);
-                            self.matched_pairs.push((i, o));
+                        if node.buffers.ready(t, i, o) {
+                            mask.set(i);
                         }
                     }
                 }
+                self.matcher.rematch(
+                    &mut node.arbs,
+                    &self.requests,
+                    self.cfg.iterations,
+                    &mut self.matched_pairs,
+                );
             }
 
             // Execute the matching: move cells out of the input buffers,
             // return credits upstream.
             for m in 0..self.matched_pairs.len() {
-                let (i, o) = self.matched_pairs[m];
+                let (i, o, _) = self.matched_pairs[m];
                 let (cell, upstream, to_egress, dest) = {
                     let node = match id {
                         NodeId::Leaf(l) => &mut self.leaves[l],

@@ -20,6 +20,7 @@
 //! from the other K−1 views; grants are re-validated against the master
 //! VOQ state at issue time so no phantom cell is ever launched.
 
+use crate::matcher::ceil_log2;
 use crate::requests::{Matching, Requests};
 use crate::subsched::SubScheduler;
 use crate::traits::CellScheduler;
@@ -72,8 +73,7 @@ impl Flppr {
     /// each issued matching accumulated log₂N iterations — the iteration
     /// count ref. [17] calls for.
     pub fn osmosis(n: usize, out_capacity: usize) -> Self {
-        let depth = (n.max(2) as f64).log2().ceil() as usize;
-        Self::new(n, depth, out_capacity)
+        Self::new(n, ceil_log2(n), out_capacity)
     }
 
     /// Number of parallel sub-schedulers.

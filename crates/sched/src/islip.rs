@@ -10,7 +10,8 @@
 //! sub-ports, each with its own grant arbiter, so the same algorithm
 //! serves both Fig. 7 curves.
 
-use crate::arbiter::{BitSet, RoundRobinArbiter};
+use crate::arbiter::BitSet;
+use crate::matcher::{ceil_log2, MatchArbiters, Matcher, PointerRule};
 use crate::requests::{Matching, Requests};
 use crate::traits::CellScheduler;
 
@@ -20,17 +21,11 @@ pub struct Islip {
     occ: Requests,
     iterations: usize,
     out_capacity: usize,
-    /// Grant arbiter per output sub-port (`outputs × out_capacity`).
-    grant_arb: Vec<RoundRobinArbiter>,
-    /// Accept arbiter per input, over output sub-ports.
-    accept_arb: Vec<RoundRobinArbiter>,
-    // Scratch (reused every tick).
-    in_matched_bits: BitSet,
-    subport_used: Vec<bool>,
-    grants_to_input: Vec<BitSet>,
+    arbs: MatchArbiters,
+    matcher: Matcher,
     /// Per output: bit i set ⇔ occ(i,o) > 0, maintained incrementally.
     occ_bits: Vec<BitSet>,
-    requesters: BitSet,
+    pairs: Vec<(usize, usize, usize)>,
 }
 
 impl Islip {
@@ -42,26 +37,16 @@ impl Islip {
             occ: Requests::square(n),
             iterations,
             out_capacity,
-            // Stagger sub-port pointers so a dual-receiver output's two
-            // grant arbiters do not grant the same input on slot 0.
-            grant_arb: (0..n * out_capacity)
-                .map(|sp| RoundRobinArbiter::with_pointer(n, sp % out_capacity))
-                .collect(),
-            accept_arb: (0..n)
-                .map(|_| RoundRobinArbiter::new(n * out_capacity))
-                .collect(),
-            in_matched_bits: BitSet::new(n),
-            subport_used: vec![false; n * out_capacity],
-            grants_to_input: (0..n).map(|_| BitSet::new(n * out_capacity)).collect(),
+            arbs: MatchArbiters::new(n, out_capacity, PointerRule::FirstIteration),
+            matcher: Matcher::new(n, out_capacity),
             occ_bits: (0..n).map(|_| BitSet::new(n)).collect(),
-            requesters: BitSet::new(n),
+            pairs: Vec::with_capacity(n),
         }
     }
 
     /// The canonical configuration from ref. [17]: log₂N iterations.
     pub fn log2n(n: usize, out_capacity: usize) -> Self {
-        let iters = (n.max(2) as f64).log2().ceil() as usize;
-        Self::new(n, iters, out_capacity)
+        Self::new(n, ceil_log2(n), out_capacity)
     }
 
     /// Internal VOQ occupancy view (for tests and diagnostics).
@@ -89,60 +74,15 @@ impl CellScheduler for Islip {
     }
 
     fn tick(&mut self, _slot: u64) -> Matching {
-        let n = self.occ.inputs();
-        let r = self.out_capacity;
-        let mut matching = Matching::with_capacity(n);
-        self.in_matched_bits.clear_all();
-        self.subport_used.fill(false);
-
-        for iter in 0..self.iterations {
-            // --- Grant phase: each free output sub-port picks one
-            // requesting unmatched input via its round-robin arbiter.
-            for g in &mut self.grants_to_input {
-                g.clear_all();
-            }
-            let mut any_grant = false;
-            for o in 0..n {
-                for sub in 0..r {
-                    let sp = o * r + sub;
-                    if self.subport_used[sp] {
-                        continue;
-                    }
-                    self.requesters
-                        .assign_and_not(&self.occ_bits[o], &self.in_matched_bits);
-                    if self.requesters.is_empty() {
-                        continue;
-                    }
-                    if let Some(i) = self.grant_arb[sp].arbitrate(&self.requesters) {
-                        self.grants_to_input[i].set(sp);
-                        any_grant = true;
-                    }
-                }
-            }
-            if !any_grant {
-                break;
-            }
-            // --- Accept phase: each input picks one granting sub-port.
-            for i in 0..n {
-                if self.in_matched_bits.get(i) || self.grants_to_input[i].is_empty() {
-                    continue;
-                }
-                if let Some(sp) = self.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                    let o = sp / r;
-                    self.in_matched_bits.set(i);
-                    self.subport_used[sp] = true;
-                    matching.push(i, o);
-                    // iSLIP pointer rule: update only on first-iteration
-                    // accepts (prevents starvation, desynchronizes
-                    // pointers).
-                    if iter == 0 {
-                        self.grant_arb[sp].advance_past(i);
-                        self.accept_arb[i].advance_past(sp);
-                    }
-                }
-            }
-        }
-        for &(i, o) in matching.pairs() {
+        self.matcher.rematch(
+            &mut self.arbs,
+            &self.occ_bits,
+            self.iterations,
+            &mut self.pairs,
+        );
+        let mut matching = Matching::with_capacity(self.occ.inputs());
+        for &(i, o, _) in &self.pairs {
+            matching.push(i, o);
             self.occ.dec(i, o);
             if self.occ.get(i, o) == 0 {
                 self.occ_bits[o].clear(i);

@@ -1,7 +1,8 @@
 //! # osmosis-sched
 //!
 //! Crossbar schedulers for the OSMOSIS reproduction: round-robin arbiters,
-//! the classic iSLIP and PIM iterative matchers, the prior-art pipelined
+//! the grant/accept matching kernel every iterative matcher runs on, the
+//! classic iSLIP and PIM iterative matchers, the prior-art pipelined
 //! arbiter, and FLPPR — the paper's novel Fast Low-latency Parallel
 //! Pipelined aRbitration (ref. [22]) — plus a maximum-size-matching oracle
 //! for ablations.
@@ -33,6 +34,7 @@
 pub mod arbiter;
 pub mod flppr;
 pub mod islip;
+pub mod matcher;
 pub mod maxmatch;
 pub mod pim;
 pub mod pipelined;
@@ -43,6 +45,7 @@ pub mod traits;
 pub use arbiter::{BitSet, RoundRobinArbiter};
 pub use flppr::Flppr;
 pub use islip::Islip;
+pub use matcher::{ceil_log2, MatchArbiters, Matcher, PointerRule};
 pub use maxmatch::{max_matching, MaxSizeScheduler};
 pub use pim::Pim;
 pub use pipelined::PipelinedArbiter;

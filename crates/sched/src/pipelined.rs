@@ -10,6 +10,7 @@
 //! accumulates K iterations); only the low-load latency differs. That
 //! contrast *is* Fig. 6.
 
+use crate::matcher::ceil_log2;
 use crate::requests::{Matching, Requests};
 use crate::subsched::SubScheduler;
 use crate::traits::CellScheduler;
@@ -48,8 +49,7 @@ impl PipelinedArbiter {
 
     /// The canonical configuration: depth log₂N.
     pub fn log2n(n: usize, out_capacity: usize) -> Self {
-        let depth = (n.max(2) as f64).log2().ceil() as usize;
-        Self::new(n, depth, out_capacity)
+        Self::new(n, ceil_log2(n), out_capacity)
     }
 
     /// Number of pipeline stages.

@@ -9,7 +9,8 @@
 //! grant/accept round (one "iteration"), and [`SubScheduler::take`]
 //! harvests the accumulated matching and starts a fresh one.
 
-use crate::arbiter::{BitSet, RoundRobinArbiter};
+use crate::arbiter::BitSet;
+use crate::matcher::{MatchArbiters, Matcher, PointerRule};
 use crate::requests::{Matching, Requests};
 
 /// A pipelined matching engine for an n×n crossbar with `out_capacity`
@@ -21,24 +22,16 @@ pub struct SubScheduler {
     /// Cells already claimed by the in-progress matching.
     reserved: Requests,
     out_capacity: usize,
-    /// Per-output *effective* capacity (≤ `out_capacity`), lowered by the
-    /// owner when fault masking degrades an egress.
-    out_cap: Vec<usize>,
-    in_matched: Vec<bool>,
-    /// Bit i set ⇔ input i is matched (word-parallel mirror of
-    /// `in_matched` for the grant stage).
-    in_matched_bits: BitSet,
-    subport_used: Vec<bool>,
+    arbs: MatchArbiters,
+    /// The in-progress matching; its per-output capacity is lowered by
+    /// the owner when fault masking degrades an egress.
+    matcher: Matcher,
     /// Accumulated partial matching: (input, output, sub-port).
     pairs: Vec<(usize, usize, usize)>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
-    grants_to_input: Vec<BitSet>,
     /// Per output: bit i set ⇔ req(i,o) > reserved(i,o) — maintained
     /// incrementally so the grant stage is O(N/64) per output instead of
     /// an O(N) scan.
     req_bits: Vec<BitSet>,
-    requesters: BitSet,
 }
 
 impl SubScheduler {
@@ -49,22 +42,10 @@ impl SubScheduler {
             req: Requests::square(n),
             reserved: Requests::square(n),
             out_capacity,
-            out_cap: vec![out_capacity; n],
-            in_matched: vec![false; n],
-            in_matched_bits: BitSet::new(n),
-            subport_used: vec![false; n * out_capacity],
+            arbs: MatchArbiters::new(n, out_capacity, PointerRule::EveryAccept),
+            matcher: Matcher::new(n, out_capacity),
             pairs: Vec::with_capacity(n),
-            // Stagger sub-port pointers so a dual-receiver output's two
-            // grant arbiters do not grant the same input on slot 0.
-            grant_arb: (0..n * out_capacity)
-                .map(|sp| RoundRobinArbiter::with_pointer(n, sp % out_capacity))
-                .collect(),
-            accept_arb: (0..n)
-                .map(|_| RoundRobinArbiter::new(n * out_capacity))
-                .collect(),
-            grants_to_input: (0..n).map(|_| BitSet::new(n * out_capacity)).collect(),
             req_bits: (0..n).map(|_| BitSet::new(n)).collect(),
-            requesters: BitSet::new(n),
         }
     }
 
@@ -76,6 +57,14 @@ impl SubScheduler {
         } else {
             self.req_bits[o].clear(i);
         }
+    }
+
+    /// Drop the pair at `pairs[k]` from the in-progress matching.
+    fn unmatch(&mut self, k: usize) {
+        let (i, o, sp) = self.pairs.swap_remove(k);
+        self.matcher.release(i, sp);
+        self.reserved.dec(i, o);
+        self.refresh_bit(i, o);
     }
 
     /// Ports.
@@ -106,11 +95,7 @@ impl SubScheduler {
                 // lint:allow(panic-free): `reserved` is only incremented
                 // when a pair is pushed, so a surplus implies a match
                 .expect("reserved count implies a matched pair");
-            let (_, _, sp) = self.pairs.swap_remove(pos);
-            self.in_matched[input] = false;
-            self.in_matched_bits.clear(input);
-            self.subport_used[sp] = false;
-            self.reserved.dec(input, output);
+            self.unmatch(pos);
         }
         self.refresh_bit(input, output);
     }
@@ -125,21 +110,16 @@ impl SubScheduler {
     /// their inputs become grantable elsewhere this very iteration.
     pub fn set_output_capacity(&mut self, output: usize, cap: usize) {
         let cap = cap.min(self.out_capacity);
-        if self.out_cap[output] == cap {
+        if self.matcher.capacity(output) == cap {
             return;
         }
-        self.out_cap[output] = cap;
+        self.matcher.set_capacity(output, cap);
         let r = self.out_capacity;
         let mut k = 0;
         while k < self.pairs.len() {
-            let (i, o, sp) = self.pairs[k];
+            let (_, o, sp) = self.pairs[k];
             if o == output && sp - o * r >= cap {
-                self.pairs.swap_remove(k);
-                self.in_matched[i] = false;
-                self.in_matched_bits.clear(i);
-                self.subport_used[sp] = false;
-                self.reserved.dec(i, o);
-                self.refresh_bit(i, o);
+                self.unmatch(k);
             } else {
                 k += 1;
             }
@@ -148,47 +128,13 @@ impl SubScheduler {
 
     /// Perform one grant/accept iteration, extending the partial matching.
     pub fn iterate(&mut self) {
-        let n = self.ports();
-        let r = self.out_capacity;
-        for g in &mut self.grants_to_input {
-            g.clear_all();
-        }
-        let mut any = false;
-        for o in 0..n {
-            for sub in 0..self.out_cap[o] {
-                let sp = o * r + sub;
-                if self.subport_used[sp] {
-                    continue;
-                }
-                self.requesters
-                    .assign_and_not(&self.req_bits[o], &self.in_matched_bits);
-                if self.requesters.is_empty() {
-                    continue;
-                }
-                if let Some(i) = self.grant_arb[sp].arbitrate(&self.requesters) {
-                    self.grants_to_input[i].set(sp);
-                    any = true;
-                }
-            }
-        }
-        if !any {
-            return;
-        }
-        for i in 0..n {
-            if self.in_matched[i] || self.grants_to_input[i].is_empty() {
-                continue;
-            }
-            if let Some(sp) = self.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                let o = sp / r;
-                self.in_matched[i] = true;
-                self.in_matched_bits.set(i);
-                self.subport_used[sp] = true;
-                self.reserved.inc(i, o);
-                self.refresh_bit(i, o);
-                self.pairs.push((i, o, sp));
-                self.grant_arb[sp].advance_past(i);
-                self.accept_arb[i].advance_past(sp);
-            }
+        let start = self.pairs.len();
+        self.matcher
+            .iterate(&mut self.arbs, &self.req_bits, &mut self.pairs);
+        for k in start..self.pairs.len() {
+            let (i, o, _) = self.pairs[k];
+            self.reserved.inc(i, o);
+            self.refresh_bit(i, o);
         }
     }
 
@@ -197,20 +143,15 @@ impl SubScheduler {
     /// owner once the grants are validated and issued.
     pub fn take(&mut self, out: &mut Matching) {
         out.clear();
-        for &(i, o, _) in &self.pairs {
-            out.push(i, o);
-        }
+        self.matcher.reset();
         // Releasing the reservations can only *add* requester bits, and
         // only at the matched pairs.
-        let pairs = std::mem::take(&mut self.pairs);
-        self.in_matched.fill(false);
-        self.in_matched_bits.clear_all();
-        self.subport_used.fill(false);
-        self.reserved.clear_all();
-        for &(i, o, _) in &pairs {
+        for k in 0..self.pairs.len() {
+            let (i, o, _) = self.pairs[k];
+            out.push(i, o);
+            self.reserved.dec(i, o);
             self.refresh_bit(i, o);
         }
-        self.pairs = pairs;
         self.pairs.clear();
     }
 }

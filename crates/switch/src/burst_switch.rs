@@ -20,7 +20,7 @@
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
-use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
+use osmosis_sched::{ceil_log2, BitSet, MatchArbiters, Matcher, PointerRule};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
 use std::collections::VecDeque;
@@ -34,19 +34,18 @@ pub struct BurstSwitch {
     timeout: u64,
     voq: Vec<VecDeque<Cell>>,
     egress: Vec<VecDeque<Cell>>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
+    arbs: MatchArbiters,
     /// Remaining busy slots per input / output (container in flight).
     in_busy: Vec<u64>,
     out_busy: Vec<u64>,
     stamper: SequenceStamper,
     checker: SequenceChecker,
     next_id: u64,
-    requesters: BitSet,
-    grants_to_input: Vec<BitSet>,
-    /// Per-boundary matching scratch, cleared at each burst boundary.
-    in_matched: Vec<bool>,
-    out_matched: Vec<bool>,
+    matcher: Matcher,
+    /// Per output: idle inputs with an eligible container for it, rebuilt
+    /// at each burst boundary.
+    requests: Vec<BitSet>,
+    matched: Vec<(usize, usize, usize)>,
 }
 
 impl BurstSwitch {
@@ -60,17 +59,15 @@ impl BurstSwitch {
             timeout,
             voq: (0..n * n).map(|_| VecDeque::new()).collect(),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
-            grant_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
-            accept_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
+            arbs: MatchArbiters::new(n, 1, PointerRule::EveryAccept),
             in_busy: vec![0; n],
             out_busy: vec![0; n],
             stamper: SequenceStamper::new(),
             checker: SequenceChecker::new(),
             next_id: 0,
-            requesters: BitSet::new(n),
-            grants_to_input: (0..n).map(|_| BitSet::new(n)).collect(),
-            in_matched: vec![false; n],
-            out_matched: vec![false; n],
+            matcher: Matcher::new(n, 1),
+            requests: (0..n).map(|_| BitSet::new(n)).collect(),
+            matched: Vec::with_capacity(n),
         }
     }
 
@@ -112,73 +109,38 @@ impl CellSwitch for BurstSwitch {
         // full log2(N)-iteration matching (that relaxation is the entire
         // point of container switching).
         if t.is_multiple_of(self.burst) {
-            let iterations = (n.max(2) as f64).log2().ceil() as usize;
-            self.in_matched.fill(false);
-            self.out_matched.fill(false);
-            for _ in 0..iterations {
-                for g in self.grants_to_input.iter_mut() {
-                    g.clear_all();
-                }
-                let mut any = false;
-                for o in 0..n {
-                    if self.out_matched[o] || self.out_busy[o] > 0 {
-                        continue;
-                    }
-                    self.requesters.clear_all();
-                    let mut have = false;
-                    for i in 0..n {
-                        if !self.in_matched[i]
-                            && self.in_busy[i] == 0
-                            && self.container_eligible(i, o, t)
-                        {
-                            self.requesters.set(i);
-                            have = true;
-                        }
-                    }
-                    if !have {
-                        continue;
-                    }
-                    if let Some(i) = self.grant_arb[o].arbitrate(&self.requesters) {
-                        self.grants_to_input[i].set(o);
-                        any = true;
-                    }
-                }
-                if !any {
-                    break;
+            for o in 0..n {
+                self.requests[o].clear_all();
+                if self.out_busy[o] > 0 {
+                    continue;
                 }
                 for i in 0..n {
-                    if self.in_matched[i]
-                        || self.in_busy[i] > 0
-                        || self.grants_to_input[i].is_empty()
-                    {
-                        continue;
-                    }
-                    if let Some(o) = self.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                        self.in_matched[i] = true;
-                        self.out_matched[o] = true;
-                        self.grant_arb[o].advance_past(i);
-                        self.accept_arb[i].advance_past(o);
-                        // Launch the container: up to `burst` cells leave
-                        // back to back over the next slots.
-                        let q = &mut self.voq[i * n + o];
-                        let take = (q.len() as u64).min(self.burst);
-                        for k in 0..take {
-                            let Some(mut cell) = q.pop_front() else {
-                                break;
-                            };
-                            cell.grant_slot = t + k;
-                            obs.cell_granted_with_wait(
-                                i,
-                                o,
-                                cell.inject_slot,
-                                t + k - cell.inject_slot,
-                            );
-                            self.egress[o].push_back(cell);
-                        }
-                        self.in_busy[i] = self.burst;
-                        self.out_busy[o] = self.burst;
+                    if self.in_busy[i] == 0 && self.container_eligible(i, o, t) {
+                        self.requests[o].set(i);
                     }
                 }
+            }
+            self.matcher.rematch(
+                &mut self.arbs,
+                &self.requests,
+                ceil_log2(n),
+                &mut self.matched,
+            );
+            for &(i, o, _) in &self.matched {
+                // Launch the container: up to `burst` cells leave back to
+                // back over the next slots.
+                let q = &mut self.voq[i * n + o];
+                let take = (q.len() as u64).min(self.burst);
+                for k in 0..take {
+                    let Some(mut cell) = q.pop_front() else {
+                        break;
+                    };
+                    cell.grant_slot = t + k;
+                    obs.cell_granted_with_wait(i, o, cell.inject_slot, t + k - cell.inject_slot);
+                    self.egress[o].push_back(cell);
+                }
+                self.in_busy[i] = self.burst;
+                self.out_busy[o] = self.burst;
             }
         }
     }

@@ -14,7 +14,7 @@
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
-use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
+use osmosis_sched::{BitSet, MatchArbiters, Matcher, PointerRule};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
 use std::collections::VecDeque;
@@ -28,8 +28,7 @@ pub struct CioqSwitch {
     egress_cap: usize,
     voq: Vec<VecDeque<Cell>>,
     egress: Vec<VecDeque<Cell>>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
+    arbs: MatchArbiters,
     stamper: SequenceStamper,
     checker: SequenceChecker,
     next_id: u64,
@@ -37,10 +36,10 @@ pub struct CioqSwitch {
     busy_slots: u64,
     /// Per-output "work existed at slot start" flags for the audit.
     pending_for: Vec<bool>,
-    /// Per-phase "input already granted" scratch, cleared each phase.
-    in_used: Vec<bool>,
-    requesters: BitSet,
-    grants_to_input: Vec<BitSet>,
+    matcher: Matcher,
+    /// Per output: inputs with a cell for it, rebuilt every phase.
+    requests: Vec<BitSet>,
+    matched: Vec<(usize, usize, usize)>,
 }
 
 impl CioqSwitch {
@@ -53,17 +52,16 @@ impl CioqSwitch {
             egress_cap,
             voq: (0..n * n).map(|_| VecDeque::new()).collect(),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
-            grant_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
-            accept_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
+            arbs: MatchArbiters::new(n, 1, PointerRule::EveryAccept),
             stamper: SequenceStamper::new(),
             checker: SequenceChecker::new(),
             next_id: 0,
             violations: 0,
             busy_slots: 0,
             pending_for: vec![false; n],
-            in_used: vec![false; n],
-            requesters: BitSet::new(n),
-            grants_to_input: (0..n).map(|_| BitSet::new(n)).collect(),
+            matcher: Matcher::new(n, 1),
+            requests: (0..n).map(|_| BitSet::new(n)).collect(),
+            matched: Vec::with_capacity(n),
         }
     }
 
@@ -98,47 +96,29 @@ impl CellSwitch for CioqSwitch {
         // S matching phases per slot (single-iteration RR each — speedup,
         // not iteration count, is the knob under study).
         for _phase in 0..self.speedup {
-            for g in self.grants_to_input.iter_mut() {
-                g.clear_all();
-            }
-            self.in_used.fill(false);
-            for o in 0..n {
+            for (o, mask) in self.requests.iter_mut().enumerate() {
+                mask.clear_all();
                 if self.egress[o].len() >= self.egress_cap {
                     continue; // limited output buffer: backpressure
                 }
-                self.requesters.clear_all();
-                let mut have = false;
                 for i in 0..n {
-                    if !self.in_used[i] && !self.voq[i * n + o].is_empty() {
-                        self.requesters.set(i);
-                        have = true;
+                    if !self.voq[i * n + o].is_empty() {
+                        mask.set(i);
                     }
                 }
-                if !have {
-                    continue;
-                }
-                if let Some(i) = self.grant_arb[o].arbitrate(&self.requesters) {
-                    self.grants_to_input[i].set(o);
-                }
             }
-            for i in 0..n {
-                if self.grants_to_input[i].is_empty() {
-                    continue;
-                }
-                if let Some(o) = self.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                    self.grant_arb[o].advance_past(i);
-                    self.accept_arb[i].advance_past(o);
-                    let mut cell = self.voq[i * n + o]
-                        .pop_front()
-                        // lint:allow(panic-free): grants are issued from
-                        // this slot's occupancy snapshot, so an accepted
-                        // grant always has its cell still queued
-                        .expect("accepted grant with an empty VOQ");
-                    cell.grant_slot = slot;
-                    obs.cell_granted(i, o, cell.inject_slot);
-                    self.in_used[i] = true;
-                    self.egress[o].push_back(cell);
-                }
+            self.matcher
+                .rematch(&mut self.arbs, &self.requests, 1, &mut self.matched);
+            for &(i, o, _) in &self.matched {
+                let mut cell = self.voq[i * n + o]
+                    .pop_front()
+                    // lint:allow(panic-free): the phase's requests are
+                    // built from this phase's occupancy, so an accepted
+                    // grant always has its cell still queued
+                    .expect("accepted grant with an empty VOQ");
+                cell.grant_slot = slot;
+                obs.cell_granted(i, o, cell.inject_slot);
+                self.egress[o].push_back(cell);
             }
         }
     }

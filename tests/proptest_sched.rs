@@ -1,9 +1,14 @@
 //! Property-based tests of the scheduler crate: every scheduler respects
 //! the crossbar constraints and conserves cells for arbitrary arrival
-//! sequences; the arbiter primitives match naive references.
+//! sequences; the matching kernel's matchings are legal and, once
+//! iterated to a fixed point, maximal; the arbiter primitives match
+//! naive references.
 
 use osmosis::sched::arbiter::BitSet;
-use osmosis::sched::{CellScheduler, Flppr, Islip, Pim, PipelinedArbiter, Requests};
+use osmosis::sched::{
+    CellScheduler, Flppr, Islip, MatchArbiters, Matcher, Pim, PipelinedArbiter, PointerRule,
+    Requests,
+};
 use proptest::prelude::*;
 
 /// An arbitrary arrival trace: per slot, a list of (input, output) pairs
@@ -168,5 +173,146 @@ proptest! {
             }
         }
         prop_assert!(m.len() >= greedy, "{} < greedy {}", m.len(), greedy);
+    }
+}
+
+/// One random matching problem for the kernel: `n` ports, `r` receivers
+/// per output, the request mask of each output, and each output's usable
+/// sub-ports (≤ r).
+struct KernelCase {
+    n: usize,
+    r: usize,
+    requests: Vec<BitSet>,
+    caps: Vec<usize>,
+    rule: PointerRule,
+}
+
+fn kernel_case() -> impl Strategy<Value = KernelCase> {
+    (
+        1usize..=64,
+        1usize..=2,
+        prop::collection::vec(any::<u64>(), 64),
+        prop::collection::vec(0usize..=2, 64),
+        any::<bool>(),
+    )
+        .prop_map(|(n, r, words, caps, first)| KernelCase {
+            n,
+            r,
+            requests: words[..n]
+                .iter()
+                .map(|&w| {
+                    let mut mask = BitSet::new(n);
+                    for i in (0..n).filter(|&i| w >> i & 1 == 1) {
+                        mask.set(i);
+                    }
+                    mask
+                })
+                .collect(),
+            caps: caps[..n].iter().map(|&c| c.min(r)).collect(),
+            rule: if first {
+                PointerRule::FirstIteration
+            } else {
+                PointerRule::EveryAccept
+            },
+        })
+}
+
+impl KernelCase {
+    fn kernel(&self) -> (MatchArbiters, Matcher) {
+        let mut matcher = Matcher::new(self.n, self.r);
+        for (o, &cap) in self.caps.iter().enumerate() {
+            matcher.set_capacity(o, cap);
+        }
+        (MatchArbiters::new(self.n, self.r, self.rule), matcher)
+    }
+
+    /// Each input at most once, each sub-port at most once and within its
+    /// output's usable range, and only requested pairs.
+    fn check_legal(&self, pairs: &[(usize, usize, usize)]) -> Result<(), TestCaseError> {
+        let mut input_used = vec![false; self.n];
+        let mut subport_used = vec![false; self.n * self.r];
+        for &(i, o, sp) in pairs {
+            prop_assert!(self.requests[o].get(i), "unrequested pair ({}, {})", i, o);
+            prop_assert!(!input_used[i], "input {} matched twice", i);
+            prop_assert!(
+                sp >= o * self.r && sp < o * self.r + self.caps[o],
+                "sub-port {} outside output {}'s usable range",
+                sp,
+                o
+            );
+            prop_assert!(!subport_used[sp], "sub-port {} matched twice", sp);
+            input_used[i] = true;
+            subport_used[sp] = true;
+        }
+        Ok(())
+    }
+
+    /// No requested pair has a free input and an output below its cap.
+    fn check_maximal(&self, pairs: &[(usize, usize, usize)]) -> Result<(), TestCaseError> {
+        let mut input_used = vec![false; self.n];
+        let mut load = vec![0usize; self.n];
+        for &(i, o, _) in pairs {
+            input_used[i] = true;
+            load[o] += 1;
+        }
+        for o in (0..self.n).filter(|&o| load[o] < self.caps[o]) {
+            for i in (0..self.n).filter(|&i| !input_used[i]) {
+                prop_assert!(!self.requests[o].get(i), "({}, {}) left unmatched", i, o);
+            }
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every iteration leaves a legal matching, and `n` iterations reach a
+    /// maximal one — over several matchings, so the pointers have moved.
+    #[test]
+    fn kernel_matchings_are_legal_and_maximal(case in kernel_case()) {
+        let (mut arbs, mut matcher) = case.kernel();
+        let mut pairs = Vec::new();
+        for _ in 0..3 {
+            matcher.reset();
+            pairs.clear();
+            for _ in 0..case.n {
+                matcher.iterate(&mut arbs, &case.requests, &mut pairs);
+                case.check_legal(&pairs)?;
+            }
+            case.check_maximal(&pairs)?;
+        }
+    }
+
+    /// Releasing matched pairs and iterating again never double-books an
+    /// input or a sub-port, and still converges to a maximal matching.
+    #[test]
+    fn kernel_release_never_double_books(
+        case in kernel_case(),
+        drop in prop::collection::vec(any::<bool>(), 64),
+    ) {
+        let (mut arbs, mut matcher) = case.kernel();
+        let mut pairs = Vec::new();
+        matcher.iterate(&mut arbs, &case.requests, &mut pairs);
+        for round in 0..4 {
+            let mut k = 0;
+            let mut slot = 0;
+            while k < pairs.len() {
+                slot += 1;
+                if drop[(round * 16 + slot) % 64] {
+                    let (i, _, sp) = pairs.swap_remove(k);
+                    matcher.release(i, sp);
+                } else {
+                    k += 1;
+                }
+            }
+            matcher.iterate(&mut arbs, &case.requests, &mut pairs);
+            case.check_legal(&pairs)?;
+        }
+        for _ in 0..case.n {
+            matcher.iterate(&mut arbs, &case.requests, &mut pairs);
+        }
+        case.check_legal(&pairs)?;
+        case.check_maximal(&pairs)?;
     }
 }
