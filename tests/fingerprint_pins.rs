@@ -285,3 +285,55 @@ fn kernel_path_fingerprints_match_pins() {
         );
     }
 }
+
+/// Engine-report fingerprints of the FLPPR paths with the most
+/// sub-scheduler churn: the 64-port benchmark point, a 200-port switch
+/// (multi-word input masks and multi-word sub-port masks), and the
+/// grant-loss re-request path, where a lost grant re-enters every
+/// sub-scheduler's view as a fresh arrival. Captured before the
+/// sub-schedulers began sharing FLPPR's occupancy view.
+const FLPPR_PINS: &[(&str, u64)] = &[
+    ("voq+flppr-64", 0x1ead_61c0_6b9d_51d0),
+    ("voq+flppr-200", 0x2ecd_ba05_3421_264e),
+    ("voq+flppr-grantloss", 0xdf31_45b7_c863_0ae7),
+];
+
+fn capture_flppr_paths() -> Vec<(&'static str, u64)> {
+    use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
+    use osmosis::switch::{run_switch_faulted, VoqSwitch};
+
+    let s = 1234u64;
+    let mut out: Vec<(&'static str, EngineReport)> = Vec::new();
+    out.push((
+        "voq+flppr-64",
+        run_uniform(|| Box::new(Flppr::osmosis(64, 2)), 0.8, &cfg().with_seed(s)),
+    ));
+    out.push((
+        "voq+flppr-200",
+        run_uniform(
+            || Box::new(Flppr::osmosis(200, 2)),
+            0.8,
+            &cfg().with_seed(s),
+        ),
+    ));
+    out.push(("voq+flppr-grantloss", {
+        let plan = FaultPlan::new().periodic(FaultKind::GrantLoss { prob: 0.1 }, 200, 900, 250);
+        let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(16, 2)));
+        let mut inj = FaultInjector::new(plan);
+        run_switch_faulted(&mut sw, &mut uniform(16, 0.8, s), &cfg(), &mut inj)
+    }));
+    out.into_iter().map(|(n, r)| (n, r.fingerprint())).collect()
+}
+
+#[test]
+fn flppr_path_fingerprints_match_pins() {
+    let got = capture_flppr_paths();
+    assert_eq!(got.len(), FLPPR_PINS.len());
+    for ((name, fp), (pin_name, pin)) in got.iter().zip(FLPPR_PINS) {
+        assert_eq!(name, pin_name);
+        assert_eq!(
+            *fp, *pin,
+            "{name}: fingerprint {fp:#018x} drifted from pinned {pin:#018x}"
+        );
+    }
+}
