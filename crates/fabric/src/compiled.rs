@@ -26,7 +26,7 @@
 use crate::expand::{ExpandedFabric, Peer};
 use crate::ids::{EntityId, HostId, SwitchId};
 use crate::spec::{TopologyError, TopologySpec};
-use osmosis_sched::{BitSet, MatchArbiters, Matcher, PointerRule};
+use osmosis_sched::{MatchArbiters, Matcher, PointerRule, RequestMasks};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::driven::{run_switch, CellSwitch};
 use osmosis_switch::Cell;
@@ -84,7 +84,7 @@ pub struct CompiledFabric {
     /// turn: the matching in progress, the per-output request masks and
     /// the accepted pairs.
     matcher: Matcher,
-    requests: Vec<BitSet>,
+    requests: RequestMasks,
     matched: Vec<(usize, usize, usize)>,
 }
 
@@ -172,7 +172,7 @@ impl CompiledFabric {
             checker: SequenceChecker::new(),
             next_id: 0,
             matcher: Matcher::new(radix, 1),
-            requests: (0..radix).map(|_| BitSet::new(radix)).collect(),
+            requests: RequestMasks::new(radix),
             matched: Vec::with_capacity(radix),
             fab,
         }
@@ -194,12 +194,10 @@ impl CompiledFabric {
     /// without a send credit masked out.
     fn match_switch(&mut self, sw: usize) {
         let node = &mut self.nodes[sw];
-        for mask in &mut self.requests {
-            mask.clear_all();
-        }
+        self.requests.clear_all();
         for &(i, o) in node.voq.keys() {
             if node.credits[o as usize] > 0 {
-                self.requests[o as usize].set(i as usize);
+                self.requests.set(i as usize, o as usize);
             }
         }
         self.matcher.rematch(

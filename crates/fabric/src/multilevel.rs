@@ -24,7 +24,7 @@
 //! the simulated topology rides along as `extra("stages")`.
 
 use crate::spec::TopologyError;
-use osmosis_sched::{BitSet, MatchArbiters, Matcher, PointerRule};
+use osmosis_sched::{MatchArbiters, Matcher, PointerRule, RequestMasks};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::driven::{run_switch, CellSwitch};
 use osmosis_switch::Cell;
@@ -213,7 +213,7 @@ pub struct MultiLevelFabric {
     /// turn: the matching in progress, the per-output request masks and
     /// the accepted pairs.
     matcher: Matcher,
-    requests: Vec<BitSet>,
+    requests: RequestMasks,
     matched: Vec<(usize, usize, usize)>,
 }
 
@@ -298,7 +298,7 @@ impl MultiLevelFabric {
             checker: SequenceChecker::new(),
             next_id: 0,
             matcher: Matcher::new(ports, 1),
-            requests: (0..ports).map(|_| BitSet::new(ports)).collect(),
+            requests: RequestMasks::new(ports),
             matched: Vec::with_capacity(ports),
         }
     }
@@ -481,14 +481,14 @@ impl CellSwitch for MultiLevelFabric {
             for sw in 0..t.switches_per_level() {
                 {
                     let node = &mut self.nodes[level as usize][sw];
-                    for (o, mask) in self.requests.iter_mut().enumerate() {
-                        mask.clear_all();
+                    self.requests.clear_all();
+                    for o in 0..ports {
                         if node.credits[o] == 0 {
                             continue;
                         }
                         for i in 0..ports {
                             if !node.voq[i * ports + o].is_empty() {
-                                mask.set(i);
+                                self.requests.set(i, o);
                             }
                         }
                     }

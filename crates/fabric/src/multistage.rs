@@ -26,7 +26,7 @@ use crate::ids::{EntityId, HostId, SwitchId};
 use crate::spec::{TopologyError, TopologySpec};
 use crate::topology::TwoLevelFatTree;
 use osmosis_fdl::FdlBufferPlane;
-use osmosis_sched::{BitSet, MatchArbiters, Matcher, PointerRule};
+use osmosis_sched::{MatchArbiters, Matcher, PointerRule, RequestMasks};
 use osmosis_sim::audit::{CreditLedger, DropReason};
 use osmosis_sim::buffer::{BufferLossReason, BufferPlane, BufferStats, ElectronicVoq};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
@@ -243,7 +243,7 @@ pub struct FatTreeFabric {
     /// the matching in progress, the per-output request masks and the
     /// accepted pairs.
     matcher: Matcher,
-    requests: Vec<BitSet>,
+    requests: RequestMasks,
     matched_pairs: Vec<(usize, usize, usize)>,
 }
 
@@ -364,7 +364,7 @@ impl FatTreeFabric {
             next_id: 0,
             node_ids,
             matcher: Matcher::new(k, 1),
-            requests: (0..k).map(|_| BitSet::new(k)).collect(),
+            requests: RequestMasks::new(k),
             matched_pairs: Vec::with_capacity(k),
         })
     }
@@ -818,8 +818,8 @@ impl CellSwitch for FatTreeFabric {
                     NodeId::Leaf(l) => &mut self.leaves[l],
                     NodeId::Spine(s) => &mut self.spines[s],
                 };
-                for (o, mask) in self.requests.iter_mut().enumerate() {
-                    mask.clear_all();
+                self.requests.clear_all();
+                for o in 0..ports {
                     // Leaf uplinks toward a dead spine are masked out of
                     // arbitration; queued cells wait for repair, new
                     // flows were already re-hashed at routing.
@@ -835,7 +835,7 @@ impl CellSwitch for FatTreeFabric {
                     }
                     for i in 0..ports {
                         if node.buffers.ready(t, i, o) {
-                            mask.set(i);
+                            self.requests.set(i, o);
                         }
                     }
                 }

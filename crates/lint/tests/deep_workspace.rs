@@ -179,11 +179,11 @@ fn unwiring_a_smoke_gate_flips_the_exit() {
 #[test]
 fn allocating_in_the_slot_loop_flips_the_exit() {
     let files = edited_workspace("crates/switch/src/cioq.rs", |text| {
-        let anchor = "mask.clear_all();";
+        let anchor = "self.requests.clear_all();";
         assert!(text.contains(anchor), "cioq scratch-clear anchor moved");
         text.replace(
             anchor,
-            "mask.clear_all();\n        let _diag = format!(\"phase\");",
+            "self.requests.clear_all();\n        let _diag = format!(\"phase\");",
         )
     });
     let arts = Artifacts::load(repo_root());

@@ -56,51 +56,67 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Set `self = a AND NOT b`, word-parallel. All three sets must have
-    /// the same length. This is the hot path of the grant stage:
-    /// "requesting inputs that are not yet matched".
-    pub fn assign_and_not(&mut self, a: &BitSet, b: &BitSet) {
-        debug_assert_eq!(self.len, a.len);
-        debug_assert_eq!(self.len, b.len);
-        for ((w, &wa), &wb) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
-            *w = wa & !wb;
-        }
-    }
-
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The first set bit at or after `from`, wrapping around; `None` when
-    /// empty. This is the programmable-priority-encoder primitive.
+    /// empty. This is the programmable-priority-encoder primitive. A
+    /// `from` at or beyond `len` is taken modulo `len`.
     pub fn next_set_wrapping(&self, from: usize) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
-        let from = from % self.len;
-        let sw = from / 64;
-        // Search [from, len): padding bits above len are never set.
-        let first = self.words[sw] & (!0u64 << (from % 64));
-        if first != 0 {
-            return Some(sw * 64 + first.trailing_zeros() as usize);
+        let from = if from < self.len {
+            from
+        } else {
+            from % self.len
+        };
+        next_set_wrapping(&self.words, from)
+    }
+}
+
+/// The first set bit of the word slice `words` at or after bit `from`,
+/// wrapping around to bit 0; `None` when no bit is set. `from` must lie
+/// inside the slice, and bits beyond the set's length must be clear.
+#[inline]
+pub(crate) fn next_set_wrapping(words: &[u64], from: usize) -> Option<usize> {
+    // One word (at most 64 bits): no loop.
+    if let [w] = *words {
+        let first = w & (!0u64 << from);
+        let w = if first != 0 { first } else { w };
+        return (w != 0).then(|| w.trailing_zeros() as usize);
+    }
+    let sw = from / 64;
+    // Search [from, len): padding bits above len are never set.
+    let first = words[sw] & (!0u64 << (from % 64));
+    if first != 0 {
+        return Some(sw * 64 + first.trailing_zeros() as usize);
+    }
+    for (wi, &w) in words.iter().enumerate().skip(sw + 1) {
+        if w != 0 {
+            return Some(wi * 64 + w.trailing_zeros() as usize);
         }
-        for wi in sw + 1..self.words.len() {
-            if self.words[wi] != 0 {
-                return Some(wi * 64 + self.words[wi].trailing_zeros() as usize);
-            }
+    }
+    // Wrap: search [0, from); word `sw` has no bit left at or above
+    // `from`.
+    for (wi, &w) in words.iter().enumerate().take(sw + 1) {
+        if w != 0 {
+            return Some(wi * 64 + w.trailing_zeros() as usize);
         }
-        // Wrap: search [0, from).
-        for wi in 0..=sw {
-            let mut w = self.words[wi];
-            if wi == sw {
-                w &= !(!0u64 << (from % 64));
-            }
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
+    }
+    None
+}
+
+/// `x + 1`, wrapping to 0 at `size` (`x < size`): the round-robin
+/// pointer step.
+#[inline]
+pub(crate) fn one_past(x: usize, size: usize) -> usize {
+    if x + 1 == size {
+        0
+    } else {
+        x + 1
     }
 }
 
@@ -146,7 +162,7 @@ impl RoundRobinArbiter {
     /// iSLIP pointer update: one position beyond the granted requester.
     pub fn advance_past(&mut self, granted: usize) {
         debug_assert!(granted < self.size);
-        self.pointer = (granted + 1) % self.size;
+        self.pointer = one_past(granted, self.size);
     }
 }
 

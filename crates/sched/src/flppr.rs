@@ -28,7 +28,9 @@ use crate::traits::CellScheduler;
 /// The FLPPR scheduler.
 #[derive(Debug, Clone)]
 pub struct Flppr {
-    /// Ground truth of the ingress VOQ occupancy.
+    /// Ground truth of the ingress VOQ occupancy, and the one view every
+    /// sub-scheduler matches against: each request goes to all of them,
+    /// and each issued grant removes the cell from all of them.
     master: Requests,
     subs: Vec<SubScheduler>,
     out_capacity: usize,
@@ -104,7 +106,7 @@ impl CellScheduler for Flppr {
         self.master.inc(input, output);
         // The novelty: the request goes to *all* sub-schedulers.
         for s in &mut self.subs {
-            s.note_arrival(input, output);
+            s.note_arrival(&self.master, input, output);
         }
     }
 
@@ -112,11 +114,11 @@ impl CellScheduler for Flppr {
         // Every sub-scheduler advances its matching by one iteration —
         // this is the per-cycle hardware work.
         for s in &mut self.subs {
-            s.iterate();
+            s.iterate(&self.master);
         }
         // The sub-scheduler owning this slot issues its matching.
         let k = (slot % self.subs.len() as u64) as usize;
-        self.subs[k].take(&mut self.scratch);
+        self.subs[k].take(&self.master, &mut self.scratch);
         let mut issued = Matching::with_capacity(self.scratch.len());
         if self.masked {
             self.out_issued.iter_mut().for_each(|c| *c = 0);
@@ -139,7 +141,7 @@ impl CellScheduler for Flppr {
                 issued.push(i, o);
                 // Remove the duplicate request everywhere.
                 for s in &mut self.subs {
-                    s.note_departure(i, o);
+                    s.note_departure(&self.master, i, o);
                 }
             } else {
                 self.stale_grants += 1;
@@ -156,7 +158,7 @@ impl CellScheduler for Flppr {
         self.out_cap[output] = cap;
         self.masked = self.out_cap.iter().any(|&c| c < self.out_capacity);
         for s in &mut self.subs {
-            s.set_output_capacity(output, cap);
+            s.set_output_capacity(&self.master, output, cap);
         }
     }
 

@@ -10,8 +10,7 @@
 //! sub-ports, each with its own grant arbiter, so the same algorithm
 //! serves both Fig. 7 curves.
 
-use crate::arbiter::BitSet;
-use crate::matcher::{ceil_log2, MatchArbiters, Matcher, PointerRule};
+use crate::matcher::{ceil_log2, MatchArbiters, Matcher, PointerRule, RequestMasks};
 use crate::requests::{Matching, Requests};
 use crate::traits::CellScheduler;
 
@@ -23,8 +22,8 @@ pub struct Islip {
     out_capacity: usize,
     arbs: MatchArbiters,
     matcher: Matcher,
-    /// Per output: bit i set ⇔ occ(i,o) > 0, maintained incrementally.
-    occ_bits: Vec<BitSet>,
+    /// Bit (i, o) set ⇔ occ(i,o) > 0, maintained incrementally.
+    occ_bits: RequestMasks,
     pairs: Vec<(usize, usize, usize)>,
 }
 
@@ -39,7 +38,7 @@ impl Islip {
             out_capacity,
             arbs: MatchArbiters::new(n, out_capacity, PointerRule::FirstIteration),
             matcher: Matcher::new(n, out_capacity),
-            occ_bits: (0..n).map(|_| BitSet::new(n)).collect(),
+            occ_bits: RequestMasks::new(n),
             pairs: Vec::with_capacity(n),
         }
     }
@@ -70,7 +69,7 @@ impl CellScheduler for Islip {
 
     fn note_arrival(&mut self, input: usize, output: usize) {
         self.occ.inc(input, output);
-        self.occ_bits[output].set(input);
+        self.occ_bits.set(input, output);
     }
 
     fn tick(&mut self, _slot: u64) -> Matching {
@@ -85,7 +84,7 @@ impl CellScheduler for Islip {
             matching.push(i, o);
             self.occ.dec(i, o);
             if self.occ.get(i, o) == 0 {
-                self.occ_bits[o].clear(i);
+                self.occ_bits.clear(i, o);
             }
         }
         matching

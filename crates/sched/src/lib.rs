@@ -45,7 +45,7 @@ pub mod traits;
 pub use arbiter::{BitSet, RoundRobinArbiter};
 pub use flppr::Flppr;
 pub use islip::Islip;
-pub use matcher::{ceil_log2, MatchArbiters, Matcher, PointerRule};
+pub use matcher::{ceil_log2, MatchArbiters, Matcher, PointerRule, RequestMasks};
 pub use maxmatch::{max_matching, MaxSizeScheduler};
 pub use pim::Pim;
 pub use pipelined::PipelinedArbiter;

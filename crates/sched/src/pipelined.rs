@@ -20,6 +20,8 @@ use crate::traits::CellScheduler;
 pub struct PipelinedArbiter {
     master: Requests,
     subs: Vec<SubScheduler>,
+    /// Per sub-scheduler: the occupancy of the requests assigned to it.
+    views: Vec<Requests>,
     out_capacity: usize,
     /// Sub-scheduler currently receiving new requests.
     fill: usize,
@@ -38,6 +40,7 @@ impl PipelinedArbiter {
             subs: (0..depth)
                 .map(|_| SubScheduler::new(n, out_capacity))
                 .collect(),
+            views: vec![Requests::square(n); depth],
             out_capacity,
             // Before the first tick, arrivals go to the sub-scheduler that
             // issues at slot depth−1, giving it a full fill window.
@@ -79,20 +82,22 @@ impl CellScheduler for PipelinedArbiter {
     fn note_arrival(&mut self, input: usize, output: usize) {
         self.master.inc(input, output);
         // Exclusive assignment: only the filling sub-scheduler sees it.
-        self.subs[self.fill].note_arrival(input, output);
+        self.views[self.fill].inc(input, output);
+        self.subs[self.fill].note_arrival(&self.views[self.fill], input, output);
     }
 
     fn tick(&mut self, slot: u64) -> Matching {
-        for s in &mut self.subs {
-            s.iterate();
+        for (s, view) in self.subs.iter_mut().zip(&self.views) {
+            s.iterate(view);
         }
         let k = (slot % self.subs.len() as u64) as usize;
-        self.subs[k].take(&mut self.scratch);
+        self.subs[k].take(&self.views[k], &mut self.scratch);
         let mut issued = Matching::with_capacity(self.scratch.len());
         for &(i, o) in self.scratch.pairs() {
             if self.master.try_dec(i, o) {
                 issued.push(i, o);
-                self.subs[k].note_departure(i, o);
+                self.views[k].try_dec(i, o);
+                self.subs[k].note_departure(&self.views[k], i, o);
             } else {
                 self.stale_grants += 1;
             }

@@ -20,7 +20,7 @@
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
-use osmosis_sched::{ceil_log2, BitSet, MatchArbiters, Matcher, PointerRule};
+use osmosis_sched::{ceil_log2, MatchArbiters, Matcher, PointerRule, RequestMasks};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
 use std::collections::VecDeque;
@@ -44,7 +44,7 @@ pub struct BurstSwitch {
     matcher: Matcher,
     /// Per output: idle inputs with an eligible container for it, rebuilt
     /// at each burst boundary.
-    requests: Vec<BitSet>,
+    requests: RequestMasks,
     matched: Vec<(usize, usize, usize)>,
 }
 
@@ -66,7 +66,7 @@ impl BurstSwitch {
             checker: SequenceChecker::new(),
             next_id: 0,
             matcher: Matcher::new(n, 1),
-            requests: (0..n).map(|_| BitSet::new(n)).collect(),
+            requests: RequestMasks::new(n),
             matched: Vec::with_capacity(n),
         }
     }
@@ -109,14 +109,14 @@ impl CellSwitch for BurstSwitch {
         // full log2(N)-iteration matching (that relaxation is the entire
         // point of container switching).
         if t.is_multiple_of(self.burst) {
+            self.requests.clear_all();
             for o in 0..n {
-                self.requests[o].clear_all();
                 if self.out_busy[o] > 0 {
                     continue;
                 }
                 for i in 0..n {
                     if self.in_busy[i] == 0 && self.container_eligible(i, o, t) {
-                        self.requests[o].set(i);
+                        self.requests.set(i, o);
                     }
                 }
             }

@@ -14,7 +14,7 @@
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
-use osmosis_sched::{BitSet, MatchArbiters, Matcher, PointerRule};
+use osmosis_sched::{MatchArbiters, Matcher, PointerRule, RequestMasks};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
 use std::collections::VecDeque;
@@ -38,7 +38,7 @@ pub struct CioqSwitch {
     pending_for: Vec<bool>,
     matcher: Matcher,
     /// Per output: inputs with a cell for it, rebuilt every phase.
-    requests: Vec<BitSet>,
+    requests: RequestMasks,
     matched: Vec<(usize, usize, usize)>,
 }
 
@@ -60,7 +60,7 @@ impl CioqSwitch {
             busy_slots: 0,
             pending_for: vec![false; n],
             matcher: Matcher::new(n, 1),
-            requests: (0..n).map(|_| BitSet::new(n)).collect(),
+            requests: RequestMasks::new(n),
             matched: Vec::with_capacity(n),
         }
     }
@@ -96,14 +96,14 @@ impl CellSwitch for CioqSwitch {
         // S matching phases per slot (single-iteration RR each — speedup,
         // not iteration count, is the knob under study).
         for _phase in 0..self.speedup {
-            for (o, mask) in self.requests.iter_mut().enumerate() {
-                mask.clear_all();
+            self.requests.clear_all();
+            for o in 0..n {
                 if self.egress[o].len() >= self.egress_cap {
                     continue; // limited output buffer: backpressure
                 }
                 for i in 0..n {
                     if !self.voq[i * n + o].is_empty() {
-                        mask.set(i);
+                        self.requests.set(i, o);
                     }
                 }
             }

@@ -13,8 +13,10 @@ use osmosis::fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFa
 use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
+use osmosis::sched::subsched::SubScheduler;
 use osmosis::sched::{
-    BitSet, CellScheduler, Flppr, Islip, MatchArbiters, Matcher, PipelinedArbiter, PointerRule,
+    CellScheduler, Flppr, Islip, MatchArbiters, Matcher, Matching, PipelinedArbiter, PointerRule,
+    RequestMasks, Requests,
 };
 use osmosis::sim::{EngineConfig, SeedSequence};
 use osmosis::switch::{BurstSwitch, CioqSwitch, VoqSwitch};
@@ -99,10 +101,10 @@ fn kernel_iteration_does_not_allocate() {
     ] {
         let mut arbs = MatchArbiters::new(n, r, rule);
         let mut matcher = Matcher::new(n, r);
-        let mut requests: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for (o, mask) in requests.iter_mut().enumerate() {
+        let mut requests = RequestMasks::new(n);
+        for o in 0..n {
             for i in (o % 3..n).step_by(3) {
-                mask.set(i);
+                requests.set(i, o);
             }
         }
         let mut pairs = Vec::with_capacity(n);
@@ -119,6 +121,70 @@ fn kernel_iteration_does_not_allocate() {
             }
         });
         assert_eq!(made, 0, "n = {n}, r = {r}: the kernel allocated");
+    }
+}
+
+#[test]
+fn request_mask_updates_do_not_allocate() {
+    for n in [16, 64, 200] {
+        let mut masks = RequestMasks::new(n);
+        let made = allocs(|| {
+            for round in 0..50 {
+                for o in 0..n {
+                    for i in (o % 3..n).step_by(3 + round % 4) {
+                        masks.set(i, o);
+                    }
+                }
+                for o in (0..n).step_by(2) {
+                    for i in 0..n {
+                        masks.clear(i, o);
+                    }
+                }
+                masks.clear_all();
+            }
+        });
+        assert_eq!(made, 0, "n = {n}: a mask update allocated");
+        assert!(masks.is_empty());
+    }
+}
+
+/// A sub-scheduler run the way FLPPR runs one: arrivals and departures
+/// over an occupancy view the caller owns, an iteration per slot, and a
+/// harvest every `depth` slots.
+#[test]
+fn sub_scheduler_cycle_does_not_allocate() {
+    for (n, r) in [(16, 1), (64, 2), (200, 2)] {
+        let depth = 4;
+        let mut req = Requests::square(n);
+        let mut sub = SubScheduler::new(n, r);
+        let mut out = Matching::with_capacity(n);
+        let made = allocs(|| {
+            for slot in 0..200 {
+                for i in (slot % 2..n).step_by(2) {
+                    let o = (i * 7 + slot * 3) % n;
+                    req.inc(i, o);
+                    sub.note_arrival(&req, i, o);
+                }
+                sub.iterate(&req);
+                if slot % depth == depth - 1 {
+                    sub.take(&req, &mut out);
+                    for &(i, o) in out.pairs() {
+                        req.dec(i, o);
+                        sub.note_departure(&req, i, o);
+                    }
+                } else {
+                    // Another stage's grants: cells leave under the
+                    // in-progress matching.
+                    for i in (slot % 3..n).step_by(5) {
+                        let o = (i * 7 + slot * 3) % n;
+                        if req.try_dec(i, o) {
+                            sub.note_departure(&req, i, o);
+                        }
+                    }
+                }
+            }
+        });
+        assert_eq!(made, 0, "n = {n}, r = {r}: the sub-scheduler allocated");
     }
 }
 
@@ -140,6 +206,11 @@ fn check_budget(name: &str, budget: f64, run: impl Fn(&EngineConfig)) {
 fn simulators_stay_within_their_allocation_budgets() {
     check_budget("voq+islip", 1.002, voq(|| Box::new(Islip::log2n(16, 2))));
     check_budget("voq+flppr", 1.0015, voq(|| Box::new(Flppr::osmosis(16, 2))));
+    check_budget(
+        "voq+flppr-64",
+        1.01,
+        voq(|| Box::new(Flppr::osmosis(64, 2))),
+    );
     check_budget(
         "voq+pipelined",
         1.018,

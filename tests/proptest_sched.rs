@@ -1,13 +1,13 @@
 //! Property-based tests of the scheduler crate: every scheduler respects
 //! the crossbar constraints and conserves cells for arbitrary arrival
 //! sequences; the matching kernel's matchings are legal and, once
-//! iterated to a fixed point, maximal; the arbiter primitives match
-//! naive references.
+//! iterated to a fixed point, maximal; the kernel and the arbiter
+//! primitives match naive references.
 
 use osmosis::sched::arbiter::BitSet;
 use osmosis::sched::{
     CellScheduler, Flppr, Islip, MatchArbiters, Matcher, Pim, PipelinedArbiter, PointerRule,
-    Requests,
+    RequestMasks, Requests,
 };
 use proptest::prelude::*;
 
@@ -108,11 +108,14 @@ proptest! {
 
 proptest! {
     /// The wrapping priority encoder agrees with a naive scan for
-    /// arbitrary bit patterns and starting points.
+    /// arbitrary bit patterns and starting points, including starting
+    /// points at or beyond the set's length, which are documented to
+    /// count modulo the length.
     #[test]
     fn next_set_wrapping_matches_naive(
         bits in prop::collection::vec(any::<bool>(), 1..200),
         from in any::<usize>(),
+        near in 0usize..400,
     ) {
         let n = bits.len();
         let mut set = BitSet::new(n);
@@ -121,9 +124,10 @@ proptest! {
                 set.set(i);
             }
         }
-        let from = from % n;
-        let naive = (0..n).map(|k| (from + k) % n).find(|&i| bits[i]);
-        prop_assert_eq!(set.next_set_wrapping(from), naive);
+        let naive = |from: usize| (0..n).map(|k| (from % n + k) % n).find(|&i| bits[i]);
+        prop_assert_eq!(set.next_set_wrapping(from % n), naive(from));
+        prop_assert_eq!(set.next_set_wrapping(from), naive(from));
+        prop_assert_eq!(set.next_set_wrapping(near), naive(near));
     }
 
     /// Set/clear/count behave like a Vec<bool>.
@@ -176,44 +180,54 @@ proptest! {
     }
 }
 
+/// Largest port count of a kernel case: 200 ports take four words per
+/// input mask and, with two receivers, seven words per sub-port mask.
+const KERNEL_MAX_PORTS: usize = 200;
+
 /// One random matching problem for the kernel: `n` ports, `r` receivers
-/// per output, the request mask of each output, and each output's usable
-/// sub-ports (≤ r).
+/// per output, the request masks, and each output's usable sub-ports
+/// (≤ r).
 struct KernelCase {
     n: usize,
     r: usize,
-    requests: Vec<BitSet>,
+    requests: RequestMasks,
     caps: Vec<usize>,
     rule: PointerRule,
 }
 
 fn kernel_case() -> impl Strategy<Value = KernelCase> {
     (
-        1usize..=64,
+        1usize..=KERNEL_MAX_PORTS,
         1usize..=2,
-        prop::collection::vec(any::<u64>(), 64),
-        prop::collection::vec(0usize..=2, 64),
+        prop::collection::vec(any::<u64>(), 4 * KERNEL_MAX_PORTS),
+        0usize..=2,
+        prop::collection::vec(0usize..=2, KERNEL_MAX_PORTS),
         any::<bool>(),
     )
-        .prop_map(|(n, r, words, caps, first)| KernelCase {
-            n,
-            r,
-            requests: words[..n]
-                .iter()
-                .map(|&w| {
-                    let mut mask = BitSet::new(n);
-                    for i in (0..n).filter(|&i| w >> i & 1 == 1) {
-                        mask.set(i);
-                    }
-                    mask
-                })
-                .collect(),
-            caps: caps[..n].iter().map(|&c| c.min(r)).collect(),
-            rule: if first {
-                PointerRule::FirstIteration
-            } else {
-                PointerRule::EveryAccept
-            },
+        .prop_map(|(n, r, words, thin, caps, first)| {
+            // Bit (i, o) is the AND of `thin + 1` random bits: request
+            // densities 1/2, 1/4 and 1/8.
+            let bit = |i: usize, o: usize| {
+                (0..=thin)
+                    .all(|k| words[(o * 4 + i / 64 + 7 * k) % words.len()] >> (i % 64) & 1 == 1)
+            };
+            let mut requests = RequestMasks::new(n);
+            for o in 0..n {
+                for i in (0..n).filter(|&i| bit(i, o)) {
+                    requests.set(i, o);
+                }
+            }
+            KernelCase {
+                n,
+                r,
+                requests,
+                caps: caps[..n].iter().map(|&c| c.min(r)).collect(),
+                rule: if first {
+                    PointerRule::FirstIteration
+                } else {
+                    PointerRule::EveryAccept
+                },
+            }
         })
 }
 
@@ -232,7 +246,7 @@ impl KernelCase {
         let mut input_used = vec![false; self.n];
         let mut subport_used = vec![false; self.n * self.r];
         for &(i, o, sp) in pairs {
-            prop_assert!(self.requests[o].get(i), "unrequested pair ({}, {})", i, o);
+            prop_assert!(self.requests.get(i, o), "unrequested pair ({}, {})", i, o);
             prop_assert!(!input_used[i], "input {} matched twice", i);
             prop_assert!(
                 sp >= o * self.r && sp < o * self.r + self.caps[o],
@@ -257,7 +271,7 @@ impl KernelCase {
         }
         for o in (0..self.n).filter(|&o| load[o] < self.caps[o]) {
             for i in (0..self.n).filter(|&i| !input_used[i]) {
-                prop_assert!(!self.requests[o].get(i), "({}, {}) left unmatched", i, o);
+                prop_assert!(!self.requests.get(i, o), "({}, {}) left unmatched", i, o);
             }
         }
         Ok(())
@@ -314,5 +328,173 @@ proptest! {
         }
         case.check_legal(&pairs)?;
         case.check_maximal(&pairs)?;
+    }
+}
+
+/// The kernel written out naively from its documented round: plain loops
+/// over `Vec<bool>`, one modulo per pointer step, no live or open sets.
+struct NaiveKernel {
+    n: usize,
+    r: usize,
+    rule: PointerRule,
+    /// Per output sub-port `o · r + k`: the grant pointer over inputs.
+    grant: Vec<usize>,
+    /// Per input: the accept pointer over sub-ports.
+    accept: Vec<usize>,
+    caps: Vec<usize>,
+    in_matched: Vec<bool>,
+    subport_used: Vec<bool>,
+    first_iteration: bool,
+}
+
+impl NaiveKernel {
+    fn new(case: &KernelCase) -> Self {
+        let (n, r) = (case.n, case.r);
+        NaiveKernel {
+            n,
+            r,
+            rule: case.rule,
+            // Sub-port k of every output starts at input k.
+            grant: (0..n * r).map(|sp| sp % r % n).collect(),
+            accept: vec![0; n],
+            caps: case.caps.clone(),
+            in_matched: vec![false; n],
+            subport_used: vec![false; n * r],
+            first_iteration: true,
+        }
+    }
+
+    /// `requests[o][i]`: input i requests output o.
+    fn iterate(&mut self, requests: &[Vec<bool>], out: &mut Vec<(usize, usize, usize)>) -> bool {
+        let (n, r) = (self.n, self.r);
+        let move_pointers = self.first_iteration || self.rule == PointerRule::EveryAccept;
+        self.first_iteration = false;
+        // Grant: outputs ascending, free usable sub-ports ascending, each
+        // to the first requesting unmatched input at or after its pointer.
+        let mut grants = vec![vec![false; n * r]; n];
+        let mut any = false;
+        for (o, requesting) in requests.iter().enumerate() {
+            for k in 0..self.caps[o] {
+                let sp = o * r + k;
+                if self.subport_used[sp] {
+                    continue;
+                }
+                let pick = (0..n)
+                    .map(|d| (self.grant[sp] + d) % n)
+                    .find(|&i| requesting[i] && !self.in_matched[i]);
+                if let Some(i) = pick {
+                    grants[i][sp] = true;
+                    any = true;
+                }
+            }
+        }
+        // Accept: inputs ascending, each the first granting sub-port at or
+        // after its pointer.
+        for (i, granted) in grants.iter().enumerate() {
+            let pick = (0..n * r)
+                .map(|k| (self.accept[i] + k) % (n * r))
+                .find(|&sp| granted[sp]);
+            if let Some(sp) = pick {
+                self.in_matched[i] = true;
+                self.subport_used[sp] = true;
+                out.push((i, sp / r, sp));
+                if move_pointers {
+                    self.grant[sp] = (i + 1) % n;
+                    self.accept[i] = (sp + 1) % (n * r);
+                }
+            }
+        }
+        any
+    }
+
+    fn release(&mut self, input: usize, subport: usize) {
+        self.in_matched[input] = false;
+        self.subport_used[subport] = false;
+    }
+
+    fn reset(&mut self) {
+        self.in_matched.fill(false);
+        self.subport_used.fill(false);
+        self.first_iteration = true;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The kernel agrees with the naive reference pair for pair and
+    /// pointer for pointer over random sequences of iterations, releases,
+    /// capacity changes, request changes and resets — on one-word
+    /// (n ≤ 64) and multi-word masks alike.
+    #[test]
+    fn kernel_matches_the_naive_reference(
+        case in kernel_case(),
+        ops in prop::collection::vec((0u8..10, any::<usize>(), any::<usize>()), 1..80),
+    ) {
+        let (n, r) = (case.n, case.r);
+        let (mut arbs, mut matcher) = case.kernel();
+        let mut naive = NaiveKernel::new(&case);
+        let mut masks = case.requests.clone();
+        let mut requests: Vec<Vec<bool>> =
+            (0..n).map(|o| (0..n).map(|i| masks.get(i, o)).collect()).collect();
+        let mut pairs = Vec::new();
+        let mut naive_pairs = Vec::new();
+        for (step, (op, a, b)) in ops.into_iter().enumerate() {
+            match op {
+                0..=3 => {
+                    let got = matcher.iterate(&mut arbs, &masks, &mut pairs);
+                    let want = naive.iterate(&requests, &mut naive_pairs);
+                    prop_assert_eq!(got, want, "step {}: iterate result", step);
+                }
+                4 if !pairs.is_empty() => {
+                    let k = a % pairs.len();
+                    let (i, _, sp) = pairs.swap_remove(k);
+                    naive_pairs.swap_remove(k);
+                    matcher.release(i, sp);
+                    naive.release(i, sp);
+                }
+                5 => {
+                    let (o, cap) = (a % n, b % (r + 1));
+                    matcher.set_capacity(o, cap);
+                    naive.caps[o] = cap;
+                }
+                6 | 7 => {
+                    let (i, o) = (a % n, b % n);
+                    if op == 6 {
+                        masks.set(i, o);
+                    } else {
+                        masks.clear(i, o);
+                    }
+                    requests[o][i] = op == 6;
+                }
+                8 => {
+                    matcher.reset();
+                    naive.reset();
+                    pairs.clear();
+                    naive_pairs.clear();
+                }
+                9 => {
+                    masks.clear_all();
+                    requests.iter_mut().for_each(|row| row.fill(false));
+                }
+                _ => {}
+            }
+            prop_assert_eq!(&pairs, &naive_pairs, "step {}: pairs", step);
+            for sp in 0..n * r {
+                prop_assert_eq!(arbs.grant_pointer(sp), naive.grant[sp], "step {}: grant pointer {}", step, sp);
+            }
+            for i in 0..n {
+                prop_assert_eq!(arbs.accept_pointer(i), naive.accept[i], "step {}: accept pointer {}", step, i);
+            }
+            for o in 0..n {
+                prop_assert_eq!(matcher.capacity(o), naive.caps[o], "step {}: capacity {}", step, o);
+            }
+            prop_assert_eq!(
+                masks.is_empty(),
+                requests.iter().all(|row| row.iter().all(|&b| !b)),
+                "step {}: live set",
+                step
+            );
+        }
     }
 }
