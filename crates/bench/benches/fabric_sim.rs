@@ -1,5 +1,6 @@
-//! Criterion bench of the multistage fabric simulator: simulated slots
-//! per second for radix-8 and radix-16 fat trees.
+//! Criterion bench of the fabric simulators: simulated slots per second
+//! for radix-8 and radix-16 multistage fat trees, and for the compiled
+//! fabric over a shallow and a deep m-ary fat tree of 16 hosts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use osmosis_fabric::multistage::{FabricConfig, FatTreeFabric};
@@ -26,7 +27,7 @@ fn bench_fabric(c: &mut Criterion) {
 }
 
 fn bench_multilevel(c: &mut Criterion) {
-    use osmosis_fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
+    use osmosis_fabric::{CompiledFabric, TopologySpec};
     let mut g = c.benchmark_group("multilevel_sim");
     let slots = 1_000u64;
     g.throughput(Throughput::Elements(slots));
@@ -38,9 +39,9 @@ fn bench_multilevel(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let topo = MultiLevelClos::new(radix, levels);
-                    let mut fab = MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2));
-                    let mut tr = BernoulliUniform::new(topo.hosts(), 0.5, &SeedSequence::new(seed));
+                    let mut fab = CompiledFabric::new(TopologySpec::m_ary_fat_tree(radix, levels));
+                    let hosts = fab.expanded().hosts.len();
+                    let mut tr = BernoulliUniform::new(hosts, 0.5, &SeedSequence::new(seed));
                     fab.run(&mut tr, &EngineConfig::new(0, slots))
                 })
             },

@@ -9,14 +9,15 @@
 //! ([`ExpandedFabric::route`]), and losslessness asserted rather than
 //! measured.
 //!
-//! Unlike [`crate::multilevel`], whose per-switch VOQ array is dense
-//! (ports² queues per switch — about a gigabyte of empty `VecDeque`s at
-//! 32768 ports), the compiled fabric keys VOQs sparsely by
-//! (input, output) and skips idle switches entirely, so the 32K-port
-//! acceptance instances simulate in bounded memory. The scheduling
-//! order (switches by id, outputs ascending, iterative grant/accept) is
-//! identical, and the per-switch matchings agree with the dense
-//! implementation because absent VOQs contribute no requests.
+//! VOQs are keyed sparsely by (input, output) instead of a dense array
+//! of ports² queues per switch (about a gigabyte of empty `VecDeque`s at
+//! 32768 ports), and idle switches are skipped entirely, so the 32K-port
+//! acceptance instances simulate in bounded memory. Absent VOQs
+//! contribute no requests, so the matchings (switches by id, outputs
+//! ascending, iterative grant/accept) are those of a dense layout. Over
+//! [`TopologySpec::m_ary_fat_tree`] this is the §VI.C multilevel
+//! simulator: every [`crate::MultiLevelClos`] depth and radix, with the
+//! stage count (2L−1) reported as `extra("stages")`.
 //!
 //! Dragonfly minimal routes traverse local→global→local hops whose
 //! credit loops are cyclic; at the moderate loads used for latency
@@ -392,18 +393,36 @@ mod tests {
     }
 
     #[test]
-    fn compiled_two_level_matches_multilevel_semantics() {
-        // Lossless, in order, throughput tracks offered load.
-        for spec in [
-            TopologySpec::two_level(8),
-            TopologySpec::m_ary_fat_tree(8, 2),
-            TopologySpec::fat_tree(4, 3),
+    fn compiled_fat_trees_carry_load_lossless_in_order() {
+        // Throughput tracks offered load at every depth, from a single
+        // switch to a 7-stage radix-4 tree.
+        let load = 0.3;
+        let mut delay = Vec::new();
+        for (spec, stages) in [
+            (TopologySpec::two_level(8), 3),
+            (TopologySpec::m_ary_fat_tree(8, 1), 1),
+            (TopologySpec::m_ary_fat_tree(8, 2), 3),
+            (TopologySpec::m_ary_fat_tree(4, 4), 7),
+            (TopologySpec::fat_tree(4, 3), 5),
         ] {
-            let r = run_spec(spec, 0.3, 7);
+            let r = run_spec(spec, load, 7);
             assert_eq!(r.reordered, 0, "{spec}");
-            assert!(r.throughput > 0.2, "{spec}: {}", r.throughput);
-            assert_eq!(r.extra("stages"), Some(spec.stages() as f64));
+            assert!(
+                (r.throughput - load).abs() < 0.03,
+                "{spec}: {}",
+                r.throughput
+            );
+            assert_eq!(r.extra("stages"), Some(stages as f64), "{spec}");
+            delay.push(r.mean_delay);
         }
+        // §VI.C in motion: the same 16 hosts through 7 radix-4 stages
+        // wait longer than through 3 radix-8 stages.
+        assert!(
+            delay[3] > delay[2] + 4.0,
+            "7-stage {} vs 3-stage {}",
+            delay[3],
+            delay[2]
+        );
     }
 
     #[test]
@@ -416,19 +435,30 @@ mod tests {
     }
 
     #[test]
-    fn compiled_rejects_unsupported_placement() {
+    fn compiled_rejects_invalid_specs() {
         let mut spec = TopologySpec::two_level(8);
         spec.placement = Placement::OutputOnly;
         assert!(matches!(
             CompiledFabric::try_new(spec),
             Err(TopologyError::UnsupportedPlacement { .. })
         ));
+        // A delay whose RTT-sized buffer overflows is an error, not a
+        // panic or a wrapped 0-cell buffer.
+        assert!(matches!(
+            CompiledFabric::try_new(TopologySpec::m_ary_fat_tree(8, 2).with_link_delay(u64::MAX)),
+            Err(TopologyError::TooLarge { .. })
+        ));
     }
 
     #[test]
     fn compiled_runs_are_deterministic() {
-        let a = run_spec(TopologySpec::dragonfly(8, 4), 0.25, 42);
-        let b = run_spec(TopologySpec::dragonfly(8, 4), 0.25, 42);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        for spec in [
+            TopologySpec::dragonfly(8, 4),
+            TopologySpec::m_ary_fat_tree(8, 2),
+        ] {
+            let a = run_spec(spec, 0.25, 42);
+            let b = run_spec(spec, 0.25, 42);
+            assert_eq!(a.fingerprint(), b.fingerprint(), "{spec}");
+        }
     }
 }

@@ -709,6 +709,92 @@ mod tests {
     }
 
     #[test]
+    fn m_ary_wiring_matches_digit_formulas() {
+        // The closed-form digit rules of the m-ary folded Clos, derived
+        // independently of the expansion: where each output's cable leads
+        // and where each input's credits return to, as a host or as
+        // (level, switch position, port). The expansion must wire exactly
+        // these, port for port; the top level's up side stays unwired.
+        for (radix, levels) in [(4usize, 1u32), (4, 3), (6, 2), (8, 2)] {
+            let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
+            let m = radix / 2;
+            let width = m.pow(levels - 1);
+            let digit_of = |x: usize, pos: u32| (x / m.pow(pos)) % m;
+            let set_digit =
+                |x: usize, pos: u32, v: usize| x - digit_of(x, pos) * m.pow(pos) + v * m.pow(pos);
+            let downstream = |level: u32, sw: usize, port: usize| {
+                if port < m && level == 0 {
+                    Err(sw * m + port)
+                } else if port < m {
+                    // Down port q leads to the level-below switch whose
+                    // digit (level−1) is q, landing on the up port that
+                    // selects our digit (level−1).
+                    Ok((
+                        level - 1,
+                        set_digit(sw, level - 1, port),
+                        m + digit_of(sw, level - 1),
+                    ))
+                } else {
+                    // Up port m+p leads to the level-above switch with
+                    // digit `level` := p, landing on our old digit.
+                    Ok((
+                        level + 1,
+                        set_digit(sw, level, port - m),
+                        digit_of(sw, level),
+                    ))
+                }
+            };
+            let upstream = |level: u32, sw: usize, in_port: usize| {
+                if in_port < m && level == 0 {
+                    Err(sw * m + in_port)
+                } else if in_port < m {
+                    // Cells on a down-side input came up from the level
+                    // below, out of its up port m + our digit (level−1).
+                    Ok((
+                        level - 1,
+                        set_digit(sw, level - 1, in_port),
+                        m + digit_of(sw, level - 1),
+                    ))
+                } else {
+                    // Cells on an up-side input came down from the level
+                    // above, out of its down port equal to our digit.
+                    Ok((
+                        level + 1,
+                        set_digit(sw, level, in_port - m),
+                        digit_of(sw, level),
+                    ))
+                }
+            };
+            for level in 0..levels {
+                for sw in 0..width {
+                    let id = SwitchId::from_index(level as usize * width + sw);
+                    for port in 0..2 * m {
+                        let got = match fab.ports[fab.port_id(id, port as u32)].peer {
+                            Peer::Host(h) => Some(Err(h.index())),
+                            Peer::Port(far) => {
+                                let far_sw = fab.ports[far].switch;
+                                Some(Ok((
+                                    fab.level_of(far_sw),
+                                    fab.switches[far_sw].pos as usize,
+                                    fab.ports[far].local as usize,
+                                )))
+                            }
+                            Peer::Unconnected => None,
+                        };
+                        let at = format!("r{radix} L{levels} ({level},{sw},{port})");
+                        if level == levels - 1 && port >= m {
+                            assert_eq!(got, None, "top up-side must be unwired: {at}");
+                            continue;
+                        }
+                        assert_eq!(got, Some(downstream(level, sw, port)), "down {at}");
+                        assert_eq!(got, Some(upstream(level, sw, port)), "up {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn every_port_peer_is_mutual() {
         for spec in [
             TopologySpec::fat_tree(4, 3),

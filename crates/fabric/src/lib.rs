@@ -48,7 +48,7 @@ pub use ids::{EntityId, EntityVec, HostId, LinkId, PortId, StageId, SwitchId};
 pub use loadmap::{
     expanded_uniform_load_map, load_map, uniform_load_map, ExpandedLoadMap, LoadMap,
 };
-pub use multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
+pub use multilevel::MultiLevelClos;
 pub use multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
 pub use spec::{BufferSizing, DragonflyShape, TopologyError, TopologyFamily, TopologySpec};
 

@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn saturation_estimate_matches_the_simulator() {
-        use crate::multilevel::{MultiLevelConfig, MultiLevelFabric};
+        use crate::{CompiledFabric, TopologySpec};
         use osmosis_sim::SeedSequence;
         use osmosis_traffic::BernoulliUniform;
 
@@ -266,7 +266,7 @@ mod tests {
         let est = uniform_load_map(&topo, 1.0).saturation_load(1.0);
         // Simulate well above the estimate: carried throughput should
         // flatten near the analytic ceiling (within 12%).
-        let mut fab = MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2));
+        let mut fab = CompiledFabric::new(TopologySpec::m_ary_fat_tree(topo.radix, topo.levels));
         let mut tr =
             BernoulliUniform::new(topo.hosts(), (est + 0.2).min(1.0), &SeedSequence::new(5));
         let r = fab.run(&mut tr, &osmosis_sim::EngineConfig::new(2_000, 10_000));

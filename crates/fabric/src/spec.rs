@@ -109,11 +109,12 @@ pub enum TopologyError {
         /// The unreachable port target.
         ports: u64,
     },
-    /// The expansion would overflow the dense `u32` id space.
+    /// The expansion would overflow the dense `u32` id space, or the
+    /// link delay an RTT-sized buffer of `2·delay + 2` cells in `usize`.
     TooLarge {
-        /// Which entity table overflowed.
+        /// Which entity table (or `link_delay`) overflowed.
         entity: &'static str,
-        /// The computed entity count.
+        /// The computed entity count (or the delay).
         count: u64,
     },
     /// Links need at least one slot of flight time.
@@ -161,7 +162,7 @@ impl fmt::Display for TopologyError {
                 write!(f, "no radix-{radix} fat tree reaches {ports} ports")
             }
             TopologyError::TooLarge { entity, count } => {
-                write!(f, "{count} {entity} overflow the dense u32 id space")
+                write!(f, "{entity} = {count} is too large to simulate")
             }
             TopologyError::ZeroLinkDelay => {
                 write!(f, "links need at least one slot of flight time")
@@ -241,7 +242,7 @@ impl DragonflyShape {
     /// The balanced shape for `radix`: h = ⌊(radix + 1) / 4⌋, a = 2h,
     /// p = h, using p + (a − 1) + h = 4h − 1 ≤ radix ports per router.
     pub fn for_radix(radix: usize) -> Result<Self, TopologyError> {
-        let h = (radix + 1) / 4;
+        let h = radix.saturating_add(1) / 4;
         if h == 0 {
             return Err(TopologyError::InvalidRadix {
                 radix,
@@ -259,7 +260,10 @@ impl DragonflyShape {
     /// The largest balanced group count: every router's h global channels
     /// reaching a distinct group → a·h + 1 groups.
     pub fn max_groups(&self) -> u32 {
-        (self.routers_per_group * self.globals_per_router + 1) as u32
+        let groups = (self.routers_per_group as u64)
+            .saturating_mul(self.globals_per_router as u64)
+            .saturating_add(1);
+        u32::try_from(groups).unwrap_or(u32::MAX)
     }
 }
 
@@ -393,7 +397,7 @@ impl TopologySpec {
                 count: hosts,
             });
         }
-        let ports = self.switch_count() * self.radix as u64;
+        let ports = self.switch_count().saturating_mul(self.radix as u64);
         if ports > u32::MAX as u64 {
             return Err(TopologyError::TooLarge {
                 entity: "ports",
@@ -402,6 +406,12 @@ impl TopologySpec {
         }
         if self.link_delay < 1 {
             return Err(TopologyError::ZeroLinkDelay);
+        }
+        if rtt_cells(self.link_delay).is_none() {
+            return Err(TopologyError::TooLarge {
+                entity: "link_delay",
+                count: self.link_delay,
+            });
         }
         if let BufferSizing::Cells(0) = self.buffer {
             return Err(TopologyError::ZeroBuffer);
@@ -422,12 +432,14 @@ impl TopologySpec {
                 .and_then(|n| n.checked_mul(planes as u64))
                 .unwrap_or(u64::MAX),
             TopologyFamily::Dragonfly { groups } => match DragonflyShape::for_radix(self.radix) {
-                Ok(s) => groups as u64 * s.routers_per_group as u64 * s.hosts_per_router as u64,
+                Ok(s) => (groups as u64)
+                    .saturating_mul(s.routers_per_group as u64)
+                    .saturating_mul(s.hosts_per_router as u64),
                 Err(_) => 0,
             },
             TopologyFamily::FullMesh { switches } => {
                 let n = switches as u64;
-                n * (k + 1).saturating_sub(n)
+                n.saturating_mul(k.saturating_add(1).saturating_sub(n))
             }
         }
     }
@@ -444,7 +456,7 @@ impl TopologySpec {
                 per_level.saturating_mul((levels.saturating_sub(1) as u64) * planes as u64 + 1)
             }
             TopologyFamily::Dragonfly { groups } => match DragonflyShape::for_radix(self.radix) {
-                Ok(s) => groups as u64 * s.routers_per_group as u64,
+                Ok(s) => (groups as u64).saturating_mul(s.routers_per_group as u64),
                 Err(_) => 0,
             },
             TopologyFamily::FullMesh { switches } => switches as u64,
@@ -475,13 +487,21 @@ impl TopologySpec {
         }
     }
 
-    /// Concrete input-buffer capacity in cells.
+    /// Concrete input-buffer capacity in cells (saturating at
+    /// `usize::MAX` for a delay [`validate`](Self::validate) rejects).
     pub fn buffer_cells(&self) -> usize {
         match self.buffer {
-            BufferSizing::RttSized => (2 * self.link_delay + 2) as usize,
+            BufferSizing::RttSized => rtt_cells(self.link_delay).unwrap_or(usize::MAX),
             BufferSizing::Cells(n) => n,
         }
     }
+}
+
+/// The RTT-sized buffer for `link_delay`: `2·d + 2` cells, or `None`
+/// when that overflows `usize`.
+fn rtt_cells(link_delay: u64) -> Option<usize> {
+    let cells = link_delay.checked_mul(2)?.checked_add(2)?;
+    usize::try_from(cells).ok()
 }
 
 impl fmt::Display for TopologySpec {
@@ -533,19 +553,20 @@ impl FromStr for TopologySpec {
                     .parse::<u64>()
                     .map_err(|_| bad(format!("{key}={value:?} is not a number")))
             };
+            let range = |_| bad(format!("{key}={value} is out of range"));
             match key {
-                "radix" => radix = Some(num()? as usize),
-                "levels" => levels = Some(num()? as u32),
-                "planes" => planes = Some(num()? as u32),
-                "groups" => groups = Some(num()? as u32),
-                "switches" => switches = Some(num()? as u32),
+                "radix" => radix = Some(usize::try_from(num()?).map_err(range)?),
+                "levels" => levels = Some(u32::try_from(num()?).map_err(range)?),
+                "planes" => planes = Some(u32::try_from(num()?).map_err(range)?),
+                "groups" => groups = Some(u32::try_from(num()?).map_err(range)?),
+                "switches" => switches = Some(u32::try_from(num()?).map_err(range)?),
                 "delay" => delay = Some(num()?),
-                "iters" => iters = Some(num()? as usize),
+                "iters" => iters = Some(usize::try_from(num()?).map_err(range)?),
                 "buffer" => {
                     buffer = Some(if value == "rtt" {
                         BufferSizing::RttSized
                     } else {
-                        BufferSizing::Cells(num()? as usize)
+                        BufferSizing::Cells(usize::try_from(num()?).map_err(range)?)
                     })
                 }
                 _ => return Err(bad(format!("unknown key {key:?}"))),
@@ -666,6 +687,14 @@ mod tests {
             TopologySpec::fat_tree(1 << 20, 3).validate(),
             Err(TopologyError::TooLarge { .. })
         ));
+        // An RTT-sized buffer of 2·delay + 2 cells must fit in usize.
+        assert!(matches!(
+            "fat-tree:radix=8,levels=2,delay=18446744073709551615".parse::<TopologySpec>(),
+            Err(TopologyError::TooLarge {
+                entity: "link_delay",
+                ..
+            })
+        ));
         assert!(TopologySpec::two_level(64).validate().is_ok());
     }
 
@@ -712,6 +741,32 @@ mod tests {
             "fat-tree:radix=8,levels=2,planes=3".parse::<TopologySpec>(),
             Err(TopologyError::InvalidPlanes { planes: 3 })
         ));
+        // Out-of-range values are rejected, not wrapped into valid ones
+        // (2^32 + 2 levels would read as 2, 2^32 + 1 planes as 1).
+        for wraps in [
+            "fat-tree:radix=8,levels=4294967298",
+            "fat-tree:radix=8,levels=2,planes=4294967297",
+        ] {
+            assert!(
+                matches!(wraps.parse::<TopologySpec>(), Err(TopologyError::Parse(_))),
+                "{wraps}"
+            );
+        }
+        // Huge radixes are rejected without overflowing the closed forms.
+        for huge in [
+            "full-mesh:radix=18446744073709551615,switches=2",
+            "full-mesh:radix=9223372036854775807,switches=4294967295",
+            "dragonfly:radix=18446744073709551615,groups=1",
+            "dragonfly:radix=100000000000,groups=1",
+        ] {
+            assert!(
+                matches!(
+                    huge.parse::<TopologySpec>(),
+                    Err(TopologyError::TooLarge { .. })
+                ),
+                "{huge}"
+            );
+        }
         // Validation runs at parse time.
         assert!(matches!(
             "full-mesh:radix=8,switches=20".parse::<TopologySpec>(),

@@ -9,7 +9,6 @@
 //! cancel. Budgets start at the counts measured when the kernel landed
 //! and may only be lowered.
 
-use osmosis::fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
 use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
@@ -227,10 +226,10 @@ fn simulators_stay_within_their_allocation_budgets() {
         let hosts = fab.topology().hosts();
         fab.run(&mut uniform(hosts, 0.5), cfg);
     });
-    check_budget("multilevel", 0.0, |cfg| {
-        let topo = MultiLevelClos::new(4, 3);
-        let mut fab = MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2));
-        fab.run(&mut uniform(topo.hosts(), 0.4), cfg);
+    check_budget("compiled-m-ary", 10.8905, |cfg| {
+        let mut sim = CompiledFabric::new(TopologySpec::m_ary_fat_tree(4, 3));
+        let hosts = sim.expanded().hosts.len();
+        sim.run(&mut uniform(hosts, 0.4), cfg);
     });
     check_budget("compiled", 41.405, |cfg| {
         let mut sim = CompiledFabric::new(TopologySpec::fat_tree(8, 2));
